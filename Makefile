@@ -1,5 +1,5 @@
 .PHONY: all build test bench fuzz trace critpath monitor monitor-baseline \
-  scale compiled testers live ci clean
+  scale compiled testers live perfbench-smoke ci clean
 
 all: build
 
@@ -366,12 +366,22 @@ live: build
 	  ./_build/default/bench/main.exe --only L1 \
 	  --ledger $(LIVE_DIR)/runs.jsonl --json $(LIVE_DIR)/l1.json
 
+# Benchmark smoke tests (also a CI leg): perfbench/test_run.py drives
+# perfbench/run.py on n = 256 copies of the benchmark workloads (about
+# 10 s) and checks that every metric BENCHMARK.json names is emitted
+# with its unit, that the correctness gate trips on an inverted verdict
+# and on a wrong recorded total, and that the runner refuses to report
+# outside a full source checkout.
+perfbench-smoke: build
+	python3 perfbench/test_run.py
+
 # What CI runs: full build, the whole test suite, and a quick pass of the
 # experiment harness with machine-readable output (also validates the
 # --json emitter end to end).  CI additionally runs a 2-domain matrix leg
 # (see .github/workflows/ci.yml); the engine contract makes its stats
 # output identical to this serial one.
-ci: build test trace critpath monitor scale compiled testers live
+ci: build test trace critpath monitor scale compiled testers live \
+  perfbench-smoke
 	dune exec bench/main.exe -- --quick --no-timings --json /tmp/bench.json
 
 clean:

@@ -6,7 +6,7 @@
    for paper-vs-measured).
 
    Usage:  bench [--quick|-q] [--jobs N] [--domains D] [--no-timings]
-                 [--mode fiber|compiled|auto] [--json PATH]
+                 [--mode fiber|compiled] [--json PATH]
                  [--faults SPEC] [--trace PATH]
 
    Independent (family, n, eps, seed) points inside each experiment are
@@ -59,7 +59,7 @@ let () =
   let usage () =
     prerr_endline
       "usage: bench [--quick|-q] [--jobs N] [--domains D] [--no-timings] \
-       [--mode fiber|compiled|auto] [--json PATH] [--faults SPEC] \
+       [--mode fiber|compiled] [--json PATH] [--faults SPEC] \
        [--trace PATH] [--only IDS] [--ledger PATH] [--log-level LEVEL] \
        [--log-json PATH]";
     exit 2
@@ -101,8 +101,7 @@ let () =
           | Some m -> mode := m
           | None ->
               Printf.eprintf
-                "bench: --mode: unknown mode %S (expected fiber, compiled or \
-                 auto)\n"
+                "bench: --mode: unknown mode %S (expected fiber or compiled)\n"
                 argv.(i + 1);
               exit 2);
           parse (i + 2)
@@ -1572,7 +1571,10 @@ let m1_memory_substrate () =
           | Some s -> s.Partition.Stage1.state
           | None -> assert false
         in
-        let fp = Partition.State.Eng.footprint st.Partition.State.pool in
+        let fp =
+          Partition.State.Eng.footprint
+            (Partition.State.Cmp.fiber_pool st.Partition.State.pool)
+        in
         let nn = Graph.n g and m = Graph.m g in
         let per_node =
           float_of_int (gnode + fp.Partition.State.Eng.node_bytes)

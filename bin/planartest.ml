@@ -184,8 +184,7 @@ let test_cmd =
       | Some m -> m
       | None ->
           Obs.Log.errorf
-            "planartest test: unknown --mode %S (expected fiber, compiled or \
-             auto)"
+            "planartest test: unknown --mode %S (expected fiber or compiled)"
             mode_name;
           exit 2
     in
@@ -512,12 +511,12 @@ let test_cmd =
   in
   let mode_arg =
     let doc =
-      "Execution engine for the lockstep Stage I primitives: $(b,fiber) \
-       (the effect-handler reference engine), $(b,compiled) (fiber-free \
-       array passes; falls back to fiber when faults are active), or \
-       $(b,auto) (compiled whenever eligible).  The verdict, statistics, \
-       telemetry and --trace event stream are byte-identical across \
-       modes."
+      "Executor for the lockstep Stage I primitives, each written once as \
+       a step program: $(b,fiber) (the effect-handler engine) or \
+       $(b,compiled) (flat array passes; active --faults force the fiber \
+       executor).  Stage II always runs on the fiber engine.  The \
+       verdict, statistics, telemetry and --trace event stream are \
+       byte-identical across modes."
     in
     Arg.(value & opt string "fiber" & info [ "mode" ] ~docv:"MODE" ~doc)
   in

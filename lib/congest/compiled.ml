@@ -1,84 +1,13 @@
 open Graphlib
 
-type mode = Fiber | Compiled | Auto
+type mode = Fiber | Compiled
 
-let pick mode ~faults =
-  match mode with
-  | Fiber -> false
-  | Compiled | Auto -> not faults
-
-let mode_to_string = function
-  | Fiber -> "fiber"
-  | Compiled -> "compiled"
-  | Auto -> "auto"
+let mode_to_string = function Fiber -> "fiber" | Compiled -> "compiled"
 
 let mode_of_string = function
   | "fiber" -> Some Fiber
   | "compiled" -> Some Compiled
-  | "auto" -> Some Auto
   | _ -> None
-
-(* Per-mode counters, incremented once per run by whichever engine
-   executed it (the fiber engine references these with label "fiber").
-   Stable: simulated round counts are ff- and domain-invariant. *)
-let m_mode_runs =
-  Obs.Metrics.counter ~label_names:[ "mode" ]
-    ~help:"Engine runs by execution mode" "congest_mode_runs"
-
-let m_mode_rounds =
-  Obs.Metrics.counter ~label_names:[ "mode" ]
-    ~help:"Simulated rounds by execution mode" "congest_mode_rounds"
-
-(* The run-level families below are the same ones [Engine] registers —
-   registration is idempotent, so both engines share one set of series
-   and a compiled run is indistinguishable from a serial fiber run in
-   every family except the mode-labelled pair above.  The strings must
-   stay byte-identical to engine.ml's. *)
-let m_runs =
-  Obs.Metrics.counter ~help:"Engine runs completed" "congest_runs"
-
-let m_incomplete_runs =
-  Obs.Metrics.counter
-    ~help:"Engine runs that stopped early (max_rounds, crash culls or \
-           recorded node failures)"
-    "congest_incomplete_runs"
-
-let m_rounds =
-  Obs.Metrics.counter ~help:"Simulated rounds executed" "congest_rounds"
-
-let m_charged_rounds =
-  Obs.Metrics.counter
-    ~help:"Rounds charged to the CONGEST budget (incl. fragmentation frames)"
-    "congest_charged_rounds"
-
-let m_messages =
-  Obs.Metrics.counter ~help:"Messages delivered" "congest_messages"
-
-let m_bits = Obs.Metrics.counter ~help:"Total bits delivered" "congest_bits"
-
-let m_oversized =
-  Obs.Metrics.counter
-    ~help:"Edge-rounds exceeding the bandwidth (fragmented into frames)"
-    "congest_oversized_edges"
-
-let m_ff_rounds =
-  Obs.Metrics.counter ~stable:false
-    ~help:"Quiescent rounds skipped by fast-forward (subset of congest_rounds)"
-    "congest_fast_forwarded_rounds"
-
-let m_faults =
-  Obs.Metrics.counter ~label_names:[ "kind" ]
-    ~help:"Fault-injection firings by kind" "congest_faults"
-
-let m_crashed =
-  Obs.Metrics.counter ~help:"Crash-stop events charged to nodes"
-    "congest_crashed_nodes"
-
-let m_run_wall =
-  Obs.Metrics.counter ~stable:false ~label_names:[ "domains" ]
-    ~help:"Host wall clock spent inside Engine.run, microseconds, by \
-           requested domain count"
-    "congest_run_wall_us"
 
 module type MESSAGE = sig
   type t
@@ -87,16 +16,18 @@ module type MESSAGE = sig
 end
 
 module Make (Msg : MESSAGE) = struct
+  module Eng = Engine.Make (Msg)
+
   type step = Halt | Park of int
 
-  (* The compiled analogue of [Engine.pool]: the same flat delivery
+  (* The flat executor's analogue of [Engine.pool]: the same delivery
      state (per-directed-edge bit counters, the sender worklist with
      contiguous send spans, the LIFO inbox slab) minus everything fibers
      needed — no continuation array, no arenas, no per-step effect
      dispatch.  The slab layout is copied deliberately: identical push
      and drain order is what makes inboxes byte-identical to the fiber
      engine's. *)
-  type pool = {
+  type flat = {
     pgraph : Graph.t;
     edge_bits : int array;  (* per directed edge, reset by the charge pass *)
     queued : Bytes.t;  (* '\001' iff already in [senders] *)
@@ -114,7 +45,8 @@ module Make (Msg : MESSAGE) = struct
     (* Causal parent of the round's first delivery per node (sender and
        send round of the frame that flipped [ib_head] from empty), for
        the trace's Resume wake-cause slots — same contract as the fiber
-       pool's twin fields.  Lazily allocated by the first traced run. *)
+       pool's fields of the same name.  Lazily allocated by the first
+       traced run. *)
     mutable wake_sender : int array;
     mutable wake_sent : int array;
     ib_head : int array;
@@ -125,7 +57,7 @@ module Make (Msg : MESSAGE) = struct
     mutable in_use : bool;
   }
 
-  let pool g =
+  let flat_pool g =
     let n = Graph.n g in
     {
       pgraph = g;
@@ -154,7 +86,7 @@ module Make (Msg : MESSAGE) = struct
 
   (* Clear leftovers from a previous (possibly abandoned) run, touching
      only what that run actually dirtied. *)
-  let reset_pool p =
+  let reset_flat p =
     for i = 0 to p.senders_len - 1 do
       Bytes.unsafe_set p.queued p.senders.(i) '\000'
     done;
@@ -209,7 +141,7 @@ module Make (Msg : MESSAGE) = struct
 
   type engine = {
     graph : Graph.t;
-    p : pool;
+    p : flat;
     estats : Stats.t;
     telemetry : Telemetry.t option;
     ff : bool;
@@ -217,12 +149,33 @@ module Make (Msg : MESSAGE) = struct
     mutable current_round : int;
   }
 
-  type ctx = { mutable cur : int; eng : engine }
+  (* Both pools for one graph: the fiber executor's, and the flat
+     executor's, allocated on the first flat run. *)
+  type pool = {
+    for_graph : Graph.t;
+    fiber : Eng.pool;
+    mutable flat : flat option;
+  }
 
-  let round c = c.eng.current_round
+  let pool g = { for_graph = g; fiber = Eng.pool g; flat = None }
+  let fiber_pool p = p.fiber
+
+  (* The flat executor hands every hook the same context, retargeted to
+     the node being stepped; the fiber executor wraps each node's own
+     engine context once. *)
+  type flat_ctx = { mutable cur : int; eng : engine }
+  type ctx = Flat of flat_ctx | On_fiber of Eng.ctx
+
+  let round = function
+    | Flat c -> c.eng.current_round
+    | On_fiber e -> Eng.round e
 
   let reject c reason =
-    c.eng.reject_log <- (c.eng.current_round, c.cur, reason) :: c.eng.reject_log
+    match c with
+    | Flat c ->
+        c.eng.reject_log <-
+          (c.eng.current_round, c.cur, reason) :: c.eng.reject_log
+    | On_fiber e -> Eng.reject e reason
 
   (* Node [c.cur] runs once per round, so its sends stay contiguous from
      the offset recorded on first use — same invariant as the fiber
@@ -238,22 +191,30 @@ module Make (Msg : MESSAGE) = struct
     push_send p dest de msg
 
   let send c ~dest msg =
-    let e =
-      try Graph.find_edge c.eng.graph c.cur dest
-      with Not_found ->
-        invalid_arg
-          (Printf.sprintf "Compiled.send: %d is not a neighbor of %d" dest
-             c.cur)
-    in
-    send_de c dest ((2 * e) + if c.cur < dest then 0 else 1) msg
+    match c with
+    | Flat c ->
+        let e =
+          try Graph.find_edge c.eng.graph c.cur dest
+          with Not_found ->
+            invalid_arg
+              (Printf.sprintf "Compiled.send: %d is not a neighbor of %d" dest
+                 c.cur)
+        in
+        send_de c dest ((2 * e) + if c.cur < dest then 0 else 1) msg
+    | On_fiber e -> Eng.send e ~dest msg
 
   let send_port c ~dest ~eid msg =
-    send_de c dest ((2 * eid) + if c.cur < dest then 0 else 1) msg
+    match c with
+    | Flat c -> send_de c dest ((2 * eid) + if c.cur < dest then 0 else 1) msg
+    | On_fiber e -> Eng.send_port e ~dest ~eid msg
 
   let broadcast c msg =
-    let id = c.cur in
-    Graph.iter_incident c.eng.graph id (fun dest e ->
-        send_de c dest ((2 * e) + if id < dest then 0 else 1) msg)
+    match c with
+    | Flat c ->
+        let id = c.cur in
+        Graph.iter_incident c.eng.graph id (fun dest e ->
+            send_de c dest ((2 * e) + if id < dest then 0 else 1) msg)
+    | On_fiber e -> Eng.broadcast e msg
 
   type result = {
     rejections : (int * int * string) list;
@@ -261,10 +222,10 @@ module Make (Msg : MESSAGE) = struct
     completed : bool;
   }
 
-  let run ?bandwidth ?(max_rounds = 1_000_000) ?telemetry ?trace
-      ?(fast_forward = true) ?on_round ?pool:opool g ~start ~resume =
+  let run_flat ~bandwidth ~max_rounds ~telemetry ~trace ~fast_forward
+      ~on_round ~pool g ~start ~resume =
     let n = Graph.n g in
-    let m_t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
+    let m_t0 = Run_metrics.start () in
     let bw =
       match bandwidth with Some b -> b | None -> Bits.default_bandwidth n
     in
@@ -272,11 +233,18 @@ module Make (Msg : MESSAGE) = struct
     | Some tr -> Trace.set_meta tr ~n ~m:(Graph.m g) ~bandwidth:bw
     | None -> ());
     let p, owned =
-      match opool with
-      | Some p when p.pgraph == g && not p.in_use ->
-          reset_pool p;
-          (p, true)
-      | _ -> (pool g, false)
+      match pool with
+      | Some pl when pl.for_graph == g -> (
+          match pl.flat with
+          | Some p when not p.in_use ->
+              reset_flat p;
+              (p, true)
+          | Some _ -> (flat_pool g, false)
+          | None ->
+              let p = flat_pool g in
+              pl.flat <- Some p;
+              (p, true))
+      | _ -> (flat_pool g, false)
     in
     p.in_use <- true;
     let traced = trace <> None in
@@ -295,7 +263,8 @@ module Make (Msg : MESSAGE) = struct
         current_round = 0;
       }
     in
-    let ctx = { cur = -1; eng } in
+    let fctx = { cur = -1; eng } in
+    let ctx = Flat fctx in
     let wake = p.wake in
     (* The live list: parked nodes in ascending id order, compacted in
        place each round — the array analogue of the fiber engine's
@@ -461,7 +430,7 @@ module Make (Msg : MESSAGE) = struct
            if due then begin
              let inbox = build_inbox v in
              if eng.ff then incr stepped;
-             ctx.cur <- v;
+             fctx.cur <- v;
              if traced then begin
                (* Halted or failed unless the hook parks again; the
                   candidate order of this loop matches the prescan's
@@ -500,7 +469,7 @@ module Make (Msg : MESSAGE) = struct
       (* A hook exception aborts after the round's accounting — the same
          point the fiber engine's propagate mode re-raises (after the
          telemetry tick and trace emission, before the inbox recycle;
-         the next run's [reset_pool] clears the leftovers). *)
+         the next run's [reset_flat] clears the leftovers). *)
       (match !failure with Some e -> raise e | None -> ());
       (* Recycle the inbox chains (messages delivered to already-halted
          nodes were never consumed by [build_inbox]). *)
@@ -539,7 +508,7 @@ module Make (Msg : MESSAGE) = struct
        (* Start phase: ascending id order, no telemetry tick — like the
           fiber engine's start-up. *)
        for v = 0 to n - 1 do
-         ctx.cur <- v;
+         fctx.cur <- v;
          match start ctx v with
          | Park k ->
              let w = max 1 k in
@@ -586,30 +555,48 @@ module Make (Msg : MESSAGE) = struct
        | Some tr -> Trace.run_end tr ~rounds:eng.current_round
        | None -> ());
        raise e);
-    if Obs.Metrics.enabled () then begin
-      let s = eng.estats in
-      Obs.Metrics.inc m_runs;
-      if not !completed then Obs.Metrics.inc m_incomplete_runs;
-      Obs.Metrics.inc ~by:s.Stats.rounds m_rounds;
-      Obs.Metrics.inc ~by:s.Stats.charged_rounds m_charged_rounds;
-      Obs.Metrics.inc ~by:s.Stats.messages m_messages;
-      Obs.Metrics.inc ~by:s.Stats.total_bits m_bits;
-      Obs.Metrics.inc ~by:s.Stats.oversized m_oversized;
-      Obs.Metrics.inc ~by:s.Stats.fast_forwarded_rounds m_ff_rounds;
-      Obs.Metrics.inc ~labels:[ "dropped" ] ~by:s.Stats.dropped m_faults;
-      Obs.Metrics.inc ~labels:[ "duplicated" ] ~by:s.Stats.duplicated m_faults;
-      Obs.Metrics.inc ~labels:[ "delayed" ] ~by:s.Stats.delayed m_faults;
-      Obs.Metrics.inc ~by:s.Stats.crashed_nodes m_crashed;
-      Obs.Metrics.inc ~labels:[ "compiled" ] m_mode_runs;
-      Obs.Metrics.inc ~labels:[ "compiled" ] ~by:s.Stats.rounds m_mode_rounds;
-      let dt_us =
-        int_of_float ((Unix.gettimeofday () -. m_t0) *. 1e6) |> max 0
-      in
-      Obs.Metrics.inc ~labels:[ "1" ] ~by:dt_us m_run_wall
-    end;
+    Run_metrics.record_run ~mode:"compiled" ~domains:1 ~t0:m_t0 eng.estats
+      ~completed:!completed;
     {
       rejections = List.rev eng.reject_log;
       stats = eng.estats;
       completed = !completed;
     }
+
+  (* The fiber executor: each node's fiber replays the step program,
+     one [wait] per [Park] — exactly the suspension a hand-written fiber
+     program with the same schedule performs, so everything the engine
+     layers on top (fault injection, sharding, fast-forward, tracing)
+     applies unchanged. *)
+  let run_fibers ~bandwidth ~max_rounds ~telemetry ~trace ~domains
+      ~fast_forward ~faults ~on_round ~pool g ~start ~resume =
+    let res =
+      Eng.run ?bandwidth ~max_rounds ?telemetry ?trace ~domains
+        ~fast_forward ?faults ?on_round
+        ?pool:(Option.map fiber_pool pool)
+        g
+        (fun e ->
+          let ctx = On_fiber e and v = Eng.my_id e in
+          let rec go = function
+            | Halt -> ()
+            | Park k -> go (resume ctx v (Eng.wait e (max 1 k)))
+          in
+          go (start ctx v))
+    in
+    {
+      rejections = res.Eng.rejections;
+      stats = res.Eng.stats;
+      completed = res.Eng.completed;
+    }
+
+  let run ~mode ?bandwidth ?(max_rounds = 1_000_000) ?telemetry
+      ?trace ?(domains = 1) ?(fast_forward = true) ?faults ?on_round ?pool g
+      ~start ~resume =
+    match mode with
+    | Compiled when not (Faults.active faults) ->
+        run_flat ~bandwidth ~max_rounds ~telemetry ~trace ~fast_forward
+          ~on_round ~pool g ~start ~resume
+    | Compiled | Fiber ->
+        run_fibers ~bandwidth ~max_rounds ~telemetry ~trace ~domains
+          ~fast_forward ~faults ~on_round ~pool g ~start ~resume
 end

@@ -1,70 +1,48 @@
-(** Fiber-free compiled execution for lockstep protocol shapes.
+(** Step programs and their two executors.
 
-    The general {!Engine} runs one effect-handler fiber per node, which is
-    what makes arbitrary node programs (nested waits, exceptions, local
-    recursion) expressible — but the suspend/resume machinery dominates
-    the inner rounds of the protocols this repository actually runs.
-    Stage I's primitives and the {!Protocols} helpers are all of one
-    restricted shape: a node does some work at start-up, parks for a known
-    number of rounds, and is re-entered once per delivery or deadline with
-    its inbox.  That shape needs no fiber at all: this module executes it
-    as flat array passes over the CSR substrate — one pass per simulated
-    round, no continuations, no per-node stacks, no allocation beyond the
-    messages themselves.
+    A step program is a node protocol of one restricted shape: a node
+    does some work at start-up, parks for a known number of rounds, and
+    is re-entered once per delivery or deadline with its inbox.  Stage
+    I's lockstep primitives ([Partition.Prims]) and the {!Protocols}
+    helpers are all written once, in this shape, as a [start] / [resume]
+    pair, and {!Make.run} executes them on either executor:
+
+    - {b flat} ([mode = Compiled], no active faults) — flat array passes
+      over the CSR substrate, one pass per simulated round: no fibers,
+      no continuations, no per-node stacks, no allocation beyond the
+      messages themselves.  Serial by construction.
+    - {b fiber} ([mode = Fiber], or any active fault policy) — a small
+      adapter over {!Engine.Make.run}: each node's fiber runs [start],
+      then [wait]s once per [Park] and feeds the inbox to [resume].
+      Sharding across [?domains], fault injection, fast-forward and
+      tracing are the engine's own.
 
     {b Byte-identity contract.}  For the same graph and the same
-    (deterministic, fault-free) protocol, a compiled run produces
-    {!Stats.t} and {!Telemetry} output byte-identical to the fiber engine
-    at the same [fast_forward] setting: the delivery order (ascending
-    sender, reverse send order within a sender), the inbox construction,
-    bandwidth charging ([max_edge_bits], [oversized], frame counts), round
-    and fast-forward accounting, and the per-round telemetry ticks all
-    replicate {!Engine}'s serial half exactly.  The differential suite in
-    [test/test_prop.ml] and the [make compiled] CI leg enforce this.
+    fault-free step program, both executors produce {!Stats.t},
+    {!Telemetry} totals and simulated [.ctrace] events byte-identical to
+    each other at the same [fast_forward] setting (and, fiber side, at
+    every [?domains] count; only host-side utilization fields differ): the flat pass replicates the fiber engine's
+    delivery order (ascending sender, reverse send order within a
+    sender), inbox construction, bandwidth charging, round and
+    fast-forward accounting, per-round telemetry ticks and predicted
+    resume/park trace events exactly.  The differential suites in
+    [test/test_prop.ml] and [test/test_congest.ml] and the
+    [make compiled] CI leg enforce this.  Free-form node programs (nested
+    waits, local recursion — Stage II's passes) do not fit the shape and
+    run on {!Engine} directly. *)
 
-    Compiled execution is serial by construction (a round is a single
-    array pass; there is nothing left to parallelize at the per-round cost
-    this module reaches), so telemetry's host-side [max_domains] is 1 —
-    exactly what the fiber engine reports at [~domains:1].
-
-    Event tracing ([?trace]) is implemented natively: the array passes
-    emit the same message/resume/park/round/fast-forward event stream
-    the fiber engine records from its serial half — including the
-    causal wake slots — so a compiled [.ctrace] is byte-identical to a
-    serial fiber one.  Fault injection is deliberately not: it perturbs
-    the lockstep assumptions, so {!pick} returns [false] under faults
-    and callers fall back to the fiber engine. *)
-
-(** Execution-mode knob threaded through [Stage1], [Planarity_tester] and
-    the CLIs ([planartest --mode], [bench --mode]). *)
+(** Execution-mode knob threaded through [Stage1], [Planarity_tester],
+    [Protocols] and the CLIs ([planartest --mode], [bench --mode]). *)
 type mode =
-  | Fiber  (** always the general effect-handler engine (the default) *)
+  | Fiber  (** the effect-handler engine (the default everywhere) *)
   | Compiled
-      (** compiled array passes where the protocol shape allows; silently
-          falls back to the fiber engine under faults, and for general
-          [run_program]-style node programs *)
-  | Auto  (** [Compiled] when faults are off, else [Fiber] *)
-
-(** [pick mode ~faults] decides whether a protocol-shaped run should
-    take the compiled path.  [Fiber] never does; [Compiled] and [Auto]
-    do exactly when no fault policy is active (tracing is supported
-    natively, so it no longer forces the fiber path). *)
-val pick : mode -> faults:bool -> bool
+      (** the flat executor, except under an active fault policy, which
+          forces the fiber executor *)
 
 val mode_to_string : mode -> string
 
-(** Accepted spellings: ["fiber"], ["compiled"], ["auto"]. *)
+(** Accepted spellings: ["fiber"], ["compiled"]. *)
 val mode_of_string : string -> mode option
-
-(** Per-mode run counters, shared by both engines: the fiber engine
-    increments them with label ["fiber"], compiled runs with
-    ["compiled"].  Stable — simulated round counts are ff- and
-    domain-invariant — so they appear in the metrics stable projection;
-    they are the one family where a fiber-mode and a compiled-mode run of
-    the same workload differ (by the mode label only, never the values). *)
-val m_mode_runs : Obs.Metrics.counter
-
-val m_mode_rounds : Obs.Metrics.counter
 
 module type MESSAGE = sig
   type t
@@ -73,22 +51,33 @@ module type MESSAGE = sig
 end
 
 module Make (Msg : MESSAGE) : sig
+  (** The fiber engine over the same message type — the fiber executor,
+      and the engine free-form node programs use directly. *)
+  module Eng : module type of Engine.Make (Msg)
+
   (** What a node does next, returned by the [start] / [resume] hooks:
       [Park k] re-enters the node at the first round with a non-empty
       inbox, or unconditionally after [k] rounds ([k] is clamped to
       [>= 1], like the engine's [wait]); [Halt] ends the node. *)
   type step = Halt | Park of int
 
-  (** Per-run execution context handed to the hooks; carries the current
-      node implicitly, so hooks must only use it synchronously. *)
+  (** Execution context handed to the hooks, tagged with the executor
+      running them; the flat executor retargets one context from node to
+      node, so hooks must only use it synchronously. *)
   type ctx
 
-  (** Preallocated per-graph delivery state, reusable across runs (the
-      compiled analogue of [Engine.pool], minus fiber storage).  One run
-      at a time; a busy pool falls back to fresh allocation. *)
+  (** Preallocated per-graph delivery state for both executors, reusable
+      across runs: the fiber engine's pool (allocated up front) and the
+      flat executor's (allocated on the first flat run).  One run at a
+      time; a busy pool or one built for another graph value falls back
+      to fresh allocation. *)
   type pool
 
   val pool : Graphlib.Graph.t -> pool
+
+  (** The fiber half, for free-form {!Eng.run} programs over the same
+      graph. *)
+  val fiber_pool : pool -> Eng.pool
 
   (** Queue a message to a neighbor (binary-search edge lookup, exactly
       like [Engine.send]).  @raise Invalid_argument on a non-neighbor. *)
@@ -114,37 +103,38 @@ module Make (Msg : MESSAGE) : sig
     rejections : (int * int * string) list;
         (** (round, node, reason), chronological *)
     stats : Stats.t;
-    completed : bool;  (** false iff [max_rounds] was exhausted *)
+    completed : bool;
+        (** false when [max_rounds] was exhausted or, under faults, a
+            node crash-stopped *)
   }
 
-  (** [run g ~start ~resume] drives every node through its [start] hook
-      (ascending id order, round 0), then simulates rounds until every
-      node has halted: deliveries, bandwidth charging, telemetry ticks,
-      fast-forward over quiescent spans and [max_rounds] cut-off all
-      follow [Engine.run]'s serial semantics byte-for-byte.  [resume] is
-      invoked per node (ascending) with the round's inbox — possibly [[]]
-      when the park deadline expired with no traffic.  An exception from
-      a hook aborts the run after the round's accounting, exactly where
-      the fiber engine's propagate mode re-raises.  With [?trace]
-      attached, the run records the same event stream (messages with
-      causal wake slots, predicted resume/park pairs, round ticks,
-      fast-forward spans, run end) the fiber engine would at
-      [~domains:1].  Defaults match [Engine.run]: bandwidth
-      [Bits.default_bandwidth n], max_rounds 1_000_000, fast-forward
-      on. *)
+  (** [run ~mode g ~start ~resume] drives every node through its [start]
+      hook (round 0), then simulates rounds until every node has halted,
+      on the executor [mode] selects (see the module preamble): [resume]
+      is invoked per node with the round's inbox — possibly [[]] when
+      the park deadline expired with no traffic.  Deliveries, bandwidth
+      charging, telemetry ticks, tracing, fast-forward over quiescent
+      spans and the [max_rounds] cut-off follow [Engine.run]'s semantics
+      byte-for-byte on both executors.  An exception from a hook aborts
+      the run after the round's accounting and propagates.  [?domains]
+      and [?faults] matter to the fiber executor only (the flat executor
+      is serial, and faults force the fiber one);
+      [?on_round] is [Engine.run]'s host-side observer: [f 1] per
+      stepped round, [f delta] per fast-forwarded span.  Defaults match
+      [Engine.run]. *)
   val run :
+    mode:mode ->
     ?bandwidth:int ->
     ?max_rounds:int ->
     ?telemetry:Telemetry.t ->
     ?trace:Trace.t ->
+    ?domains:int ->
     ?fast_forward:bool ->
+    ?faults:Faults.policy ->
     ?on_round:(int -> unit) ->
     ?pool:pool ->
     Graphlib.Graph.t ->
     start:(ctx -> int -> step) ->
     resume:(ctx -> int -> (int * Msg.t) list -> step) ->
     result
-  (** [?on_round] is the same host-side per-round observer as
-      [Engine.run]'s: [f 1] per stepped round, [f delta] per
-      fast-forwarded span.  Must not touch simulated state. *)
 end

@@ -12,61 +12,6 @@ exception Stopped
    escapes this module. *)
 exception Shard_stop
 
-(* Run-level metrics, recorded once per [run] from the coordinator after
-   the last round — never on the per-round hot path.  Everything marked
-   stable is a pure function of (program, graph, seed, faults): the same
-   numbers for any [?domains] and for fast-forward on/off, per the PR 2
-   determinism contract.  Registration is idempotent, so every
-   [Make] instantiation shares the same families. *)
-let m_runs =
-  Obs.Metrics.counter ~help:"Engine runs completed" "congest_runs"
-
-let m_incomplete_runs =
-  Obs.Metrics.counter
-    ~help:"Engine runs that stopped early (max_rounds, crash culls or \
-           recorded node failures)"
-    "congest_incomplete_runs"
-
-let m_rounds =
-  Obs.Metrics.counter ~help:"Simulated rounds executed" "congest_rounds"
-
-let m_charged_rounds =
-  Obs.Metrics.counter
-    ~help:"Rounds charged to the CONGEST budget (incl. fragmentation frames)"
-    "congest_charged_rounds"
-
-let m_messages =
-  Obs.Metrics.counter ~help:"Messages delivered" "congest_messages"
-
-let m_bits = Obs.Metrics.counter ~help:"Total bits delivered" "congest_bits"
-
-let m_oversized =
-  Obs.Metrics.counter
-    ~help:"Edge-rounds exceeding the bandwidth (fragmented into frames)"
-    "congest_oversized_edges"
-
-let m_ff_rounds =
-  (* Not stable: the whole point of this counter is to differ between
-     fast-forward on and off (it counts the skipped spans), so it cannot
-     be part of the ff-invariant projection. *)
-  Obs.Metrics.counter ~stable:false
-    ~help:"Quiescent rounds skipped by fast-forward (subset of congest_rounds)"
-    "congest_fast_forwarded_rounds"
-
-let m_faults =
-  Obs.Metrics.counter ~label_names:[ "kind" ]
-    ~help:"Fault-injection firings by kind" "congest_faults"
-
-let m_crashed =
-  Obs.Metrics.counter ~help:"Crash-stop events charged to nodes"
-    "congest_crashed_nodes"
-
-let m_run_wall =
-  Obs.Metrics.counter ~stable:false ~label_names:[ "domains" ]
-    ~help:"Host wall clock spent inside Engine.run, microseconds, by \
-           requested domain count"
-    "congest_run_wall_us"
-
 (* Memory-substrate gauges, set at every pool creation (the M1 gate reads
    them after a run): analytic bytes of the vertex- and edge-indexed
    arrays at creation time — a pure function of (n, m), hence stable. *)
@@ -496,6 +441,9 @@ module Make (Msg : MESSAGE) = struct
     in
     send_de c dest ((2 * e) + if c.id < dest then 0 else 1) msg
 
+  let send_port c ~dest ~eid msg =
+    send_de c dest ((2 * eid) + if c.id < dest then 0 else 1) msg
+
   let broadcast c msg =
     (* Port order is neighbor-ascending, matching a [send] per neighbor,
        but with no neighbor-array allocation and no binary search. *)
@@ -664,7 +612,7 @@ module Make (Msg : MESSAGE) = struct
       ?telemetry ?trace ?(domains = 1) ?(fast_forward = true) ?faults
       ?on_round ?(on_error = `Propagate) ?pool:opool g program =
     let n = Graph.n g in
-    let m_t0 = if Obs.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
+    let m_t0 = Run_metrics.start () in
     let bw =
       match bandwidth with Some b -> b | None -> Bits.default_bandwidth n
     in
@@ -926,21 +874,26 @@ module Make (Msg : MESSAGE) = struct
     let nworkers = d_req - 1 in
     let task_start = ref false in
     let task_len = ref 0 in
+    (* Arenas the current phase's items are split over: [min d_req len],
+       so every arena in [0, task_used) owns a non-empty block and the
+       post-phase merges, which read exactly those arenas, see every
+       item. *)
+    let task_used = ref 1 in
     let block d len =
-      (d * len / d_req, (d + 1) * len / d_req)
+      (d * len / !task_used, (d + 1) * len / !task_used)
     in
     let exec d =
       let len = !task_len in
       let lo, hi = block d len in
       if !task_start then start_range d lo hi else step_range d lo hi
     in
-    (* Published to the team each epoch.  Workers beyond this run's
-       domain count no-op; an engine bug or OOM on a worker is recorded
+    (* Published to the team each epoch.  Workers beyond this phase's
+       block count no-op; an engine bug or OOM on a worker is recorded
        in its arena rather than deadlocking the barrier (a real node
        failure recorded by the shard takes precedence in
        [check_failures]). *)
     let work d =
-      if d < d_req then
+      if d < !task_used then
         try exec d
         with e ->
           if arenas.(d).afailed = None then
@@ -981,6 +934,7 @@ module Make (Msg : MESSAGE) = struct
         | Some t ->
             task_start := start;
             task_len := len;
+            task_used := min d_req len;
             Mutex.lock t.tm;
             t.tdone_count <- 0;
             t.twork <- work;
@@ -993,7 +947,7 @@ module Make (Msg : MESSAGE) = struct
               Condition.wait t.tdone t.tm
             done;
             Mutex.unlock t.tm;
-            min d_req len
+            !task_used
       end
       else begin
         if start then start_range 0 0 len else step_range 0 0 len;
@@ -1568,28 +1522,8 @@ module Make (Msg : MESSAGE) = struct
        | None -> ());
        raise e);
     if !culled > 0 || eng.fail_log <> [] then completed := false;
-    if Obs.Metrics.enabled () then begin
-      let s = eng.estats in
-      Obs.Metrics.inc m_runs;
-      if not !completed then Obs.Metrics.inc m_incomplete_runs;
-      Obs.Metrics.inc ~by:s.Stats.rounds m_rounds;
-      Obs.Metrics.inc ~by:s.Stats.charged_rounds m_charged_rounds;
-      Obs.Metrics.inc ~by:s.Stats.messages m_messages;
-      Obs.Metrics.inc ~by:s.Stats.total_bits m_bits;
-      Obs.Metrics.inc ~by:s.Stats.oversized m_oversized;
-      Obs.Metrics.inc ~by:s.Stats.fast_forwarded_rounds m_ff_rounds;
-      Obs.Metrics.inc ~labels:[ "dropped" ] ~by:s.Stats.dropped m_faults;
-      Obs.Metrics.inc ~labels:[ "duplicated" ] ~by:s.Stats.duplicated m_faults;
-      Obs.Metrics.inc ~labels:[ "delayed" ] ~by:s.Stats.delayed m_faults;
-      Obs.Metrics.inc ~by:s.Stats.crashed_nodes m_crashed;
-      Obs.Metrics.inc ~labels:[ "fiber" ] Compiled.m_mode_runs;
-      Obs.Metrics.inc ~labels:[ "fiber" ] ~by:s.Stats.rounds
-        Compiled.m_mode_rounds;
-      let dt_us =
-        int_of_float ((Unix.gettimeofday () -. m_t0) *. 1e6) |> max 0
-      in
-      Obs.Metrics.inc ~labels:[ string_of_int d_req ] ~by:dt_us m_run_wall
-    end;
+    Run_metrics.record_run ~mode:"fiber" ~domains:d_req ~t0:m_t0 eng.estats
+      ~completed:!completed;
     {
       outputs;
       rejections = List.rev eng.reject_log;

@@ -23,8 +23,9 @@
     sharded across [d] OCaml domains; delivery, bandwidth charging and all
     bookkeeping stay on the calling domain.  The contract:
 
-    - {b Sharding.}  The node-id-sorted live worklist is cut into [d]
-      contiguous blocks; domain [i] steps block [i] in ascending id order.
+    - {b Sharding.}  The node-id-sorted live worklist is cut into
+      [min d live] non-empty contiguous blocks; domain [i] steps block
+      [i] in ascending id order.
       Rounds with fewer live nodes than a small threshold are stepped by
       the calling domain alone (same code path, one block).
     - {b Arenas.}  Any state a node program can mutate that is not indexed
@@ -34,8 +35,8 @@
       wake rounds, outputs, RNG states) has a single writer per round
       because blocks are disjoint.
     - {b Barrier merge.}  After all blocks finish, the calling domain
-      merges arenas in index order 0..d-1.  Because blocks are contiguous
-      ascending id ranges, concatenating the arenas' sender lists yields
+      merges the blocks' arenas in index order.  Because blocks are
+      contiguous ascending id ranges, concatenating the arenas' sender lists yields
       the exact globally-ascending sender order of the serial engine, so
       inbox contents, per-edge bit totals, frame charges, the rejection
       log, and the choice of which exception propagates (the lowest
@@ -117,6 +118,11 @@ module Make (Msg : MESSAGE) : sig
       delivery at the end of the current round.  Raises [Invalid_argument]
       if [dest] is not a neighbor. *)
   val send : ctx -> dest:int -> Msg.t -> unit
+
+  (** [send_port ctx ~dest ~eid msg] is {!send} over a known incident
+      edge id (no neighbor search), for callers walking the incidence
+      structure; [eid] must be the edge to [dest]. *)
+  val send_port : ctx -> dest:int -> eid:int -> Msg.t -> unit
 
   (** [broadcast ctx msg] sends [msg] to every neighbor. *)
   val broadcast : ctx -> Msg.t -> unit

@@ -34,60 +34,52 @@ let traced (st : State.t) label f =
   | Some tr -> Congest.Trace.span tr label f
   | None -> f ()
 
-let run_program ?(seed = 0) (st : State.t) program =
-  let res =
-    Eng.run ~seed ?telemetry:st.State.telemetry ?trace:st.State.trace
-      ~domains:st.State.domains ~fast_forward:st.State.fast_forward
-      ?faults:st.State.faults ?on_round:st.State.on_round
-      ~pool:st.State.pool st.State.graph
-      (fun ctx -> program ctx (State.node st (Eng.my_id ctx)))
-  in
-  (* Charge before judging completion: a degraded run's rounds and fault
-     counters must still land in [st.stats] so higher layers can report
-     honestly what happened on the wire. *)
-  Congest.Stats.add_into st.State.stats res.Eng.stats;
-  if not res.Eng.completed then
+(* Charge a finished run into [st], then judge its completion.  Charge
+   first: a degraded run's rounds and fault counters must still land in
+   [st.stats] so higher layers can report honestly what happened on the
+   wire.  Keep every (round, node, reason) rejection: identical
+   rejections from different rounds must not collapse (display paths
+   dedup later). *)
+let absorb (st : State.t) ~stats ~completed ~rejections =
+  Congest.Stats.add_into st.State.stats stats;
+  if not completed then
     if Congest.Faults.active st.State.faults then
       raise
         (Congest.Faults.Degraded
            "Prims: node program did not complete under fault injection")
     else failwith "Prims: node program did not complete";
-  (* Keep every (round, node, reason) entry: identical rejections from
-     different rounds must not collapse (display paths dedup later). *)
   st.State.rejections <-
-    List.map (fun (_, v, reason) -> (v, reason)) res.Eng.rejections
+    List.map (fun (_, v, reason) -> (v, reason)) rejections
     @ st.State.rejections
 
-(* The four lockstep primitives below ([refresh_roots], [bcast],
-   [converge], [boundary]) each exist twice: the fiber program above is
-   the reference, and a compiled twin runs the same per-round logic
-   through [Congest.Compiled] — flat array passes, no fibers — with
-   byte-identical Stats/Telemetry (the dispatch is invisible to
-   callers).  General [run_program] node programs always stay on the
-   fiber engine: they can wait at arbitrary nesting depths, which is
-   exactly what the compiled shape gives up. *)
-let compiled_active (st : State.t) =
-  Congest.Compiled.pick st.State.mode
-    ~faults:(Congest.Faults.active st.State.faults)
-
-(* [run_program]'s compiled counterpart.  Faults are never active here
-   ([compiled_active] excludes them), so an incomplete run is a plain
-   budget failure, never a Degraded verdict. *)
-let run_compiled (st : State.t) ~start ~resume =
+let run_program ?(seed = 0) (st : State.t) program =
   let res =
-    Cmp.run ?telemetry:st.State.telemetry ?trace:st.State.trace
-      ~fast_forward:st.State.fast_forward ?on_round:st.State.on_round
-      ~pool:(State.cmp_pool st) st.State.graph ~start ~resume
+    Eng.run ~seed ?telemetry:st.State.telemetry ?trace:st.State.trace
+      ~domains:st.State.domains ~fast_forward:st.State.fast_forward
+      ?faults:st.State.faults ?on_round:st.State.on_round
+      ~pool:(Cmp.fiber_pool st.State.pool) st.State.graph
+      (fun ctx -> program ctx (State.node st (Eng.my_id ctx)))
   in
-  Congest.Stats.add_into st.State.stats res.Cmp.stats;
-  if not res.Cmp.completed then failwith "Prims: node program did not complete";
-  st.State.rejections <-
-    List.map (fun (_, v, reason) -> (v, reason)) res.Cmp.rejections
-    @ st.State.rejections
+  absorb st ~stats:res.Eng.stats ~completed:res.Eng.completed
+    ~rejections:res.Eng.rejections
 
-let refresh_roots_compiled (st : State.t) =
+(* The four lockstep primitives below are step programs: [st.mode] picks
+   the executor, and active faults force the fiber one. *)
+let run_steps (st : State.t) label ~start ~resume =
+  traced st label @@ fun () ->
+  let res =
+    Cmp.run ~mode:st.State.mode ?telemetry:st.State.telemetry
+      ?trace:st.State.trace ~domains:st.State.domains
+      ~fast_forward:st.State.fast_forward ?faults:st.State.faults
+      ?on_round:st.State.on_round ~pool:st.State.pool st.State.graph ~start
+      ~resume
+  in
+  absorb st ~stats:res.Cmp.stats ~completed:res.Cmp.completed
+    ~rejections:res.Cmp.rejections
+
+let refresh_roots (st : State.t) =
   let g = st.State.graph in
-  run_compiled st
+  run_steps st "refresh_roots"
     ~start:(fun ctx v ->
       let nd = State.node st v in
       Graph.iter_incident g v (fun nbr e ->
@@ -96,8 +88,7 @@ let refresh_roots_compiled (st : State.t) =
     ~resume:(fun _ctx v inbox ->
       let nd = State.node st v in
       (* Inbox senders arrive in ascending order, matching port order, so
-         one pointer walks both in a single merged pass (no [incident]
-         allocation on this path). *)
+         one pointer walks both in a single merged pass. *)
       let port = ref 0 in
       List.iter
         (fun (from, msg) ->
@@ -111,37 +102,22 @@ let refresh_roots_compiled (st : State.t) =
         inbox;
       Cmp.Halt)
 
-let refresh_roots st =
-  traced st "refresh_roots" @@ fun () ->
-  if compiled_active st then refresh_roots_compiled st
-  else
-    run_program st (fun ctx nd ->
-      Array.iter
-        (fun (nbr, _) -> Eng.send ctx ~dest:nbr (Msg.Root nd.State.part_root))
-        (Graph.incident st.State.graph nd.State.id);
-      let inbox = Eng.sync ctx in
-      let inc = Graph.incident st.State.graph nd.State.id in
-      (* Inbox senders arrive in ascending order, matching [inc]'s sort
-         order, so one pointer walks both in a single merged pass. *)
-      let port = ref 0 in
-      List.iter
-        (fun (from, msg) ->
-          match msg with
-          | Msg.Root r ->
-              while fst inc.(!port) <> from do
-                incr port
-              done;
-              nd.State.nbr_root.(!port) <- r
-          | _ -> assert false)
-        inbox)
+(* [bcast] and [converge] park each node until the next arrival or the
+   budget's deadline rather than stepping it every round: the only
+   rounds that change anything are the ones a message arrives in, so
+   whole-network quiet spans fast-forward without altering the round
+   schedule — every node still finishes exactly at round [budget]. *)
+let until_budget ~budget ctx =
+  let left = budget - Cmp.round ctx in
+  if left > 0 then Cmp.Park left else Cmp.Halt
 
-let bcast_compiled (st : State.t) ~budget ~tag ~at_root ~on_receive =
+let bcast st ~budget ~tag ~at_root ~on_receive =
   let relay ctx nd payload =
     List.iter
       (fun c -> Cmp.send ctx ~dest:c (Msg.Down (tag, payload)))
       nd.State.children
   in
-  run_compiled st
+  run_steps st "bcast"
     ~start:(fun ctx v ->
       let nd = State.node st v in
       (if State.is_root st v then
@@ -150,7 +126,7 @@ let bcast_compiled (st : State.t) ~budget ~tag ~at_root ~on_receive =
              on_receive nd payload;
              relay ctx nd payload
          | None -> ());
-      if budget > 0 then Cmp.Park budget else Cmp.Halt)
+      until_budget ~budget ctx)
     ~resume:(fun ctx v inbox ->
       let nd = State.node st v in
       List.iter
@@ -166,49 +142,16 @@ let bcast_compiled (st : State.t) ~budget ~tag ~at_root ~on_receive =
               relay ctx nd payload
           | _ -> assert false)
         inbox;
-      let left = budget - Cmp.round ctx in
-      if left > 0 then Cmp.Park left else Cmp.Halt)
+      until_budget ~budget ctx)
 
-let bcast st ~budget ~tag ~at_root ~on_receive =
-  traced st "bcast" @@ fun () ->
-  if compiled_active st then bcast_compiled st ~budget ~tag ~at_root ~on_receive
-  else
-    run_program st (fun ctx nd ->
-      let relay payload =
-        List.iter
-          (fun c -> Eng.send ctx ~dest:c (Msg.Down (tag, payload)))
-          nd.State.children
-      in
-      (if State.is_root st nd.State.id then
-         match at_root nd with
-         | Some payload ->
-             on_receive nd payload;
-             relay payload
-         | None -> ());
-      (* Wait out the budget instead of syncing [budget] times: the only
-         rounds that change anything are the ones a [Down] arrives in, so
-         the engine may park this node (and fast-forward whole-network
-         quiet spans) without altering the round schedule — every node
-         still finishes exactly at round [budget]. *)
-      wait_rounds ctx ~budget
-        (List.iter (fun (from, msg) ->
-             match msg with
-             | Msg.Down (t, payload) ->
-                 if t <> tag then
-                   failwith
-                     (Printf.sprintf "bcast: lockstep violation (tag %d vs %d)"
-                        t tag);
-                 assert (from = nd.State.parent);
-                 on_receive nd payload;
-                 relay payload
-             | _ -> assert false)))
-
-let converge_compiled (st : State.t) ~budget ~tag ~init ~combine ~encode
-    ~decode ~at_root =
+let converge (st : State.t) ~budget ~tag ~init ~combine ~encode ~decode
+    ~at_root =
   let n = Graph.n st.State.graph in
   let pending = Array.make n 0 in
   let accs = Array.make n None in
   let sent = Bytes.make n '\000' in
+  (* [maybe_send] can only newly fire on a round an [Up] arrives (the
+     call at start-up covers leaves). *)
   let maybe_send ctx v nd =
     if pending.(v) = 0 && Bytes.get sent v = '\000' then begin
       Bytes.set sent v '\001';
@@ -218,91 +161,46 @@ let converge_compiled (st : State.t) ~budget ~tag ~init ~combine ~encode
       else at_root nd acc
     end
   in
-  run_compiled st
+  let next ctx v =
+    match until_budget ~budget ctx with
+    | Cmp.Halt when Bytes.get sent v = '\000' ->
+        failwith "converge: budget too small for tree depth"
+    | step -> step
+  in
+  run_steps st "converge"
     ~start:(fun ctx v ->
       let nd = State.node st v in
       pending.(v) <- List.length nd.State.children;
       accs.(v) <- Some (init nd);
       maybe_send ctx v nd;
-      if budget > 0 then Cmp.Park budget
-      else if Bytes.get sent v = '\000' then
-        failwith "converge: budget too small for tree depth"
-      else Cmp.Halt)
+      next ctx v)
     ~resume:(fun ctx v inbox ->
       let nd = State.node st v in
-      (* As in the fiber twin's [wait_rounds]: the processing hook only
-         runs on a non-empty inbox (a deadline wake-up with no traffic
-         changes nothing). *)
-      (if inbox <> [] then begin
-         List.iter
-           (fun (from, msg) ->
-             match msg with
-             | Msg.Up (t, payload) ->
-                 if t <> tag then
-                   failwith
-                     (Printf.sprintf
-                        "converge: lockstep violation (tag %d vs %d)" t tag);
-                 if not (List.mem from nd.State.children) then
-                   failwith "converge: message from non-child";
-                 accs.(v) <- Some (combine (Option.get accs.(v)) (decode payload));
-                 pending.(v) <- pending.(v) - 1
-             | _ -> assert false)
-           inbox;
-         maybe_send ctx v nd
-       end);
-      let left = budget - Cmp.round ctx in
-      if left > 0 then Cmp.Park left
-      else if Bytes.get sent v = '\000' then
-        failwith "converge: budget too small for tree depth"
-      else Cmp.Halt)
+      if inbox <> [] then begin
+        List.iter
+          (fun (from, msg) ->
+            match msg with
+            | Msg.Up (t, payload) ->
+                if t <> tag then
+                  failwith
+                    (Printf.sprintf
+                       "converge: lockstep violation (tag %d vs %d)" t tag);
+                if not (List.mem from nd.State.children) then
+                  failwith "converge: message from non-child";
+                accs.(v) <- Some (combine (Option.get accs.(v)) (decode payload));
+                pending.(v) <- pending.(v) - 1
+            | _ -> assert false)
+          inbox;
+        maybe_send ctx v nd
+      end;
+      next ctx v)
 
-let converge st ~budget ~tag ~init ~combine ~encode ~decode ~at_root =
-  traced st "converge" @@ fun () ->
-  if compiled_active st then
-    converge_compiled st ~budget ~tag ~init ~combine ~encode ~decode ~at_root
-  else
-    run_program st (fun ctx nd ->
-      let pending = ref (List.length nd.State.children) in
-      let acc = ref (init nd) in
-      let sent = ref false in
-      let maybe_send () =
-        if !pending = 0 && not !sent then begin
-          sent := true;
-          if nd.State.parent >= 0 then
-            Eng.send ctx ~dest:nd.State.parent (Msg.Up (tag, encode !acc))
-          else at_root nd !acc
-        end
-      in
-      maybe_send ();
-      (* As in [bcast]: [maybe_send] can only newly fire on a round an
-         [Up] arrives (the initial call above covers leaves), so waiting
-         until the next arrival or the deadline preserves the message
-         schedule exactly. *)
-      wait_rounds ctx ~budget (fun inbox ->
-          List.iter
-            (fun (from, msg) ->
-              match msg with
-              | Msg.Up (t, payload) ->
-                  if t <> tag then
-                    failwith
-                      (Printf.sprintf
-                         "converge: lockstep violation (tag %d vs %d)" t tag);
-                  if not (List.mem from nd.State.children) then
-                    failwith "converge: message from non-child";
-                  acc := combine !acc (decode payload);
-                  decr pending
-              | _ -> assert false)
-            inbox;
-          maybe_send ());
-      if not !sent then failwith "converge: budget too small for tree depth")
-
-let boundary_compiled (st : State.t) ~tag ~payload ~on_receive =
+let boundary (st : State.t) ~tag ~payload ~on_receive =
   let g = st.State.graph in
-  run_compiled st
+  run_steps st "boundary"
     ~start:(fun ctx v ->
       let nd = State.node st v in
-      let deg = Graph.degree g v in
-      for port = 0 to deg - 1 do
+      for port = 0 to Graph.degree g v - 1 do
         if nd.State.nbr_root.(port) <> nd.State.part_root then begin
           let nbr = Graph.nbr g v port in
           match payload nd ~port ~nbr with
@@ -328,29 +226,3 @@ let boundary_compiled (st : State.t) ~tag ~payload ~on_receive =
           | _ -> assert false)
         inbox;
       Cmp.Halt)
-
-let boundary st ~tag ~payload ~on_receive =
-  traced st "boundary" @@ fun () ->
-  if compiled_active st then boundary_compiled st ~tag ~payload ~on_receive
-  else
-    run_program st (fun ctx nd ->
-      let inc = Graph.incident st.State.graph nd.State.id in
-      Array.iteri
-        (fun port (nbr, _) ->
-          if nd.State.nbr_root.(port) <> nd.State.part_root then
-            match payload nd ~port ~nbr with
-            | Some pl -> Eng.send ctx ~dest:nbr (Msg.Bdry (tag, pl))
-            | None -> ())
-        inc;
-      let inbox = Eng.sync ctx in
-      List.iter
-        (fun (from, msg) ->
-          match msg with
-          | Msg.Bdry (t, pl) ->
-              if t <> tag then
-                failwith
-                  (Printf.sprintf "boundary: lockstep violation (tag %d vs %d)"
-                     t tag);
-              on_receive nd ~nbr:from pl
-          | _ -> assert false)
-        inbox)

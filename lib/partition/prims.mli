@@ -1,12 +1,15 @@
 (** Tree and boundary communication primitives of the Stage I emulation.
 
-    Every function executes one complete CONGEST protocol over the whole
-    network (an {!Congest.Engine.Make.run}) in which all nodes follow the
-    same fixed round schedule, so chaining primitives keeps every node in
-    lockstep — exactly the fixed-budget scheduling the paper uses (it
-    budgets each emulated super-round by the [4^i] diameter bound; we
-    budget by the true maximum part depth and account the nominal schedule
-    separately).
+    Every primitive executes one complete CONGEST protocol over the whole
+    network in which all nodes follow the same fixed round schedule.
+    Each is written once, as a {!Congest.Compiled} step program, and runs
+    on the executor [st.mode] selects (the fiber engine, or flat array
+    passes; active [st.faults] force the fiber engine) with
+    byte-identical accounting either way.  The fixed schedule keeps
+    chained primitives in lockstep — exactly the fixed-budget scheduling
+    the paper uses (it budgets each emulated super-round by the [4^i]
+    diameter bound; we budget by the true maximum part depth and account
+    the nominal schedule separately).
 
     Round statistics accumulate into [st.stats].  When [st.trace] is set,
     each primitive wraps its engine run in a {!Congest.Trace.span} named

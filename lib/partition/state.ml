@@ -1,7 +1,7 @@
 open Graphlib
 
-module Eng = Congest.Engine.Make (Msg)
 module Cmp = Congest.Compiled.Make (Msg)
+module Eng = Cmp.Eng
 
 type node = {
   id : int;
@@ -36,7 +36,7 @@ type t = {
   graph : Graph.t;
   nodes : node array;
   stats : Congest.Stats.t;
-  pool : Eng.pool;
+  pool : Cmp.pool;
   mutable rejections : (int * string) list;
   mutable nominal_rounds : int;
   mutable telemetry : Congest.Telemetry.t option;
@@ -45,7 +45,6 @@ type t = {
   mutable fast_forward : bool;
   mutable faults : Congest.Faults.policy option;
   mutable mode : Congest.Compiled.mode;
-  mutable cpool : Cmp.pool option;  (* lazily allocated on first compiled run *)
   mutable on_round : (int -> unit) option;
 }
 
@@ -85,7 +84,7 @@ let create g =
     nodes = Array.init (Graph.n g) make_node;
     stats =
       Congest.Stats.create ~bandwidth:(Congest.Bits.default_bandwidth (Graph.n g));
-    pool = Eng.pool g;
+    pool = Cmp.pool g;
     rejections = [];
     nominal_rounds = 0;
     telemetry = None;
@@ -94,7 +93,6 @@ let create g =
     fast_forward = true;
     faults = None;
     mode = Congest.Compiled.Fiber;
-    cpool = None;
     on_round = None;
   }
 
@@ -105,7 +103,7 @@ let restore g ~nodes ~stats ~rejections ~nominal_rounds =
     graph = g;
     nodes;
     stats;
-    pool = Eng.pool g;
+    pool = Cmp.pool g;
     rejections;
     nominal_rounds;
     telemetry = None;
@@ -114,17 +112,8 @@ let restore g ~nodes ~stats ~rejections ~nominal_rounds =
     fast_forward = true;
     faults = None;
     mode = Congest.Compiled.Fiber;
-    cpool = None;
     on_round = None;
   }
-
-let cmp_pool st =
-  match st.cpool with
-  | Some p -> p
-  | None ->
-      let p = Cmp.pool st.graph in
-      st.cpool <- Some p;
-      p
 
 let node st v = st.nodes.(v)
 let is_root st v = st.nodes.(v).part_root = v

@@ -6,14 +6,14 @@
     (Lemma 6).  The forest-decomposition fields mirror the super-round
     emulation of Section 2.1.5 and are only meaningful at part roots. *)
 
-(** The simulator engine instance all partition/tester code shares (so one
-    preallocated {!Congest.Engine.Make.pool} serves every run). *)
-module Eng : module type of Congest.Engine.Make (Msg)
-
-(** The compiled (fiber-free) twin over the same message type; the
-    lockstep {!Prims} primitives dispatch to it when {!t.mode} selects
-    the compiled path (see {!Congest.Compiled}). *)
+(** The step-program runner all partition/tester code shares: the
+    lockstep {!Prims} primitives are step programs run on the executor
+    {!t.mode} selects (see {!Congest.Compiled}). *)
 module Cmp : module type of Congest.Compiled.Make (Msg)
+
+(** The fiber engine behind [Cmp], which free-form node programs
+    ({!Prims.run_program}) use directly. *)
+module Eng = Cmp.Eng
 
 type node = {
   id : int;
@@ -64,9 +64,10 @@ type t = {
   graph : Graphlib.Graph.t;
   nodes : node array;
   stats : Congest.Stats.t;  (** accumulated over every engine run *)
-  pool : Eng.pool;
-      (** reusable engine delivery state — every {!Prims.run_program} over
-          [graph] draws on it instead of allocating per run *)
+  pool : Cmp.pool;
+      (** reusable delivery state for both executors — every engine run
+          through {!Prims} over [graph] draws on it instead of allocating
+          per run *)
   mutable rejections : (int * string) list;
       (** one-sided-error evidence collected so far, newest first *)
   mutable nominal_rounds : int;
@@ -95,15 +96,11 @@ type t = {
           that cannot complete under it raises {!Congest.Faults.Degraded}
           rather than failing silently *)
   mutable mode : Congest.Compiled.mode;
-      (** execution mode for the lockstep {!Prims} primitives (default
-          [Fiber]); [Compiled]/[Auto] run them as fiber-free array passes
-          when no faults and no trace are attached — accounting is
-          byte-identical either way (see {!Congest.Compiled}).  General
-          {!Prims.run_program} node programs always use the fiber
-          engine. *)
-  mutable cpool : Cmp.pool option;
-      (** reusable compiled-path delivery state, allocated lazily by
-          {!cmp_pool} on the first compiled run *)
+      (** executor for the lockstep {!Prims} primitives (default
+          [Fiber]); [Compiled] runs them as flat array passes unless
+          faults are active — accounting is byte-identical either way
+          (see {!Congest.Compiled}).  Free-form {!Prims.run_program} node
+          programs always use the fiber engine. *)
   mutable on_round : (int -> unit) option;
       (** host-side per-round observer threaded to every engine run
           through {!Prims} (fiber and compiled alike): [f 1] per stepped
@@ -117,7 +114,7 @@ val create : Graphlib.Graph.t -> t
 (** Rebuild a state around [g] from previously captured pieces — the
     constructor behind checkpoint/resume.  The [nodes] array is adopted
     as-is (it must have been built against a graph with the same CSR
-    layout, e.g. the same file reloaded); a fresh engine {!Eng.pool} is
+    layout, e.g. the same file reloaded); a fresh {!Cmp.pool} is
     allocated, and the observer fields ([telemetry], [trace], [domains],
     [fast_forward], [faults]) reset to their {!create} defaults — callers
     reconfigure them afterwards exactly as after [create].
@@ -130,9 +127,6 @@ val restore :
   rejections:(int * string) list ->
   nominal_rounds:int ->
   t
-
-(** The state's compiled-path pool, allocating it on first use. *)
-val cmp_pool : t -> Cmp.pool
 
 val node : t -> int -> node
 

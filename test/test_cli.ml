@@ -173,11 +173,14 @@ let test_bench_rejects_unknown_mode () =
 
 let test_planartest_rejects_unknown_mode () =
   with_graph (fun g ->
-      let code, _, err =
-        run [ planartest; "test"; g; "--eps"; "0.3"; "--mode"; "bogus" ]
-      in
-      check ci "unknown --mode exits 2" 2 code;
-      check cb "stderr names the bad value" true (contains err "bogus"))
+      List.iter
+        (fun bad ->
+          let code, _, err =
+            run [ planartest; "test"; g; "--eps"; "0.3"; "--mode"; bad ]
+          in
+          check ci ("unknown --mode " ^ bad ^ " exits 2") 2 code;
+          check cb "stderr names the bad value" true (contains err bad))
+        [ "bogus"; "auto" ])
 
 let test_planartest_mode_stats_identical () =
   with_graph (fun g ->
@@ -197,9 +200,7 @@ let test_planartest_mode_stats_identical () =
             slurp out)
       in
       check Alcotest.string "fiber and compiled stats JSON are byte-identical"
-        (stats "fiber") (stats "compiled");
-      check Alcotest.string "auto matches fiber too" (stats "fiber")
-        (stats "auto"))
+        (stats "fiber") (stats "compiled"))
 
 (* ------------------------------------------------------------------ *)
 (* planartest --property: the tester portfolio through the CLI         *)

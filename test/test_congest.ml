@@ -800,6 +800,53 @@ let test_sharded_exception_choice () =
           "3" msg)
     [ 1; 2; 4 ]
 
+(* A sharded phase must split its items over exactly the arenas the
+   merges after it read, or with 16 <= live < D the nodes in the
+   trailing arenas are never stepped again while the run still reports
+   completed = true (a 20-cycle at D = 24 loses nodes 16-19).  Node v
+   halts after (v mod 5) + 2 rounds, so each run's live set shrinks
+   across both the sharding threshold (16) and D. *)
+let test_sharded_live_set_any_domains () =
+  let program ctx =
+    let v = E.my_id ctx in
+    for _ = 1 to (v mod 5) + 2 do
+      E.broadcast ctx (M.Int v);
+      ignore (E.sync ctx)
+    done;
+    v
+  in
+  let observe g d =
+    let telemetry = Congest.Telemetry.create () in
+    let res = E.run ~domains:d ~telemetry g program in
+    let phases =
+      List.map
+        (fun ph ->
+          { ph with Congest.Telemetry.parallel_rounds = 0; max_domains = 0 })
+        (Congest.Telemetry.phases telemetry)
+    in
+    (res.E.completed, res.E.outputs, res.E.stats, phases)
+  in
+  List.iter
+    (fun n ->
+      let g = Generators.cycle n in
+      let ((_, outputs, _, _) as serial) = observe g 1 in
+      check cb
+        (Printf.sprintf "n=%d serial: every output present" n)
+        true
+        (Array.for_all Fun.id (Array.mapi (fun v o -> o = Some v) outputs));
+      for d = 2 to 64 do
+        let ((completed, outputs, _, _) as sharded) = observe g d in
+        check cb (Printf.sprintf "n=%d domains=%d completed" n d) true completed;
+        check cb
+          (Printf.sprintf "n=%d domains=%d every output present" n d)
+          true
+          (Array.for_all Fun.id (Array.mapi (fun v o -> o = Some v) outputs));
+        check cb
+          (Printf.sprintf "n=%d domains=%d identical to serial" n d)
+          true (sharded = serial)
+      done)
+    [ 15; 16; 17; 20; 23; 24; 25; 40; 50; 64; 65 ]
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1059,9 +1106,11 @@ let test_protocols_count_qcheck =
       let count, _ = Congest.Protocols.count_nodes g ~root:0 ~rounds_bound:(3 * n + 4) in
       count = List.length members)
 
-(* The compiled execution path must be indistinguishable from the fiber
-   engine on every protocol it recognizes — same outputs, same round
-   counts — across connected and disconnected random inputs. *)
+(* Both executors must be indistinguishable on every protocol — same
+   outputs, same round counts — across connected and disconnected random
+   inputs, with the fiber executor both serial and at 24 domains (n up
+   to 40 puts live sets on both sides of the sharding threshold and of
+   the domain count). *)
 let test_protocols_compiled_differential =
   QCheck.Test.make
     ~name:"protocols: compiled mode == fiber mode on random graphs" ~count:30
@@ -1069,26 +1118,31 @@ let test_protocols_compiled_differential =
     (fun (n, seed) ->
       let rng = Random.State.make [| seed; 31 |] in
       let g = Generators.gnp rng n 0.2 in
-      let run mode =
+      let run ~domains mode =
         let bfs =
-          Congest.Protocols.bfs_tree ~mode g ~root:0 ~rounds_bound:(Graph.n g)
+          Congest.Protocols.bfs_tree ~mode ~domains g ~root:0
+            ~rounds_bound:(Graph.n g)
         in
         let leaders =
-          Congest.Protocols.elect_min_id ~mode g ~rounds_bound:(Graph.n g)
+          Congest.Protocols.elect_min_id ~mode ~domains g
+            ~rounds_bound:(Graph.n g)
         in
         let count =
-          Congest.Protocols.count_nodes ~mode g ~root:0
+          Congest.Protocols.count_nodes ~mode ~domains g ~root:0
             ~rounds_bound:((3 * n) + 4)
         in
         ( (bfs.Congest.Protocols.parent, bfs.Congest.Protocols.level,
            bfs.Congest.Protocols.rounds),
           leaders, count )
       in
-      run Congest.Compiled.Fiber = run Congest.Compiled.Compiled
-      ||
-      QCheck.Test.fail_reportf "compiled/fiber divergence at n=%d seed=%d" n
-        seed)
-
+      let compiled = run ~domains:1 Congest.Compiled.Compiled in
+      List.for_all
+        (fun domains ->
+          run ~domains Congest.Compiled.Fiber = compiled
+          || QCheck.Test.fail_reportf
+               "compiled/fiber divergence at n=%d seed=%d domains=%d" n seed
+               domains)
+        [ 1; 24 ])
 
 (* ------------------------------------------------------------------ *)
 (* Million-node substrate: pooled buffers and delay buckets            *)
@@ -1266,6 +1320,8 @@ let () =
             test_sharded_accounting_invariant;
           Alcotest.test_case "lowest failing node wins" `Quick
             test_sharded_exception_choice;
+          Alcotest.test_case "live sets across the threshold and D" `Quick
+            test_sharded_live_set_any_domains;
         ] );
       ( "faults",
         [

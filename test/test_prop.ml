@@ -195,7 +195,10 @@ let prop_stats_invariance =
    full stats fingerprint INCLUDING fast_forwarded_rounds (both engines
    make the same fast-forward decisions), and the per-round telemetry
    JSON.  Run on planar and far inputs so both accepting and rejecting
-   Stage I paths cross the compiled primitives. *)
+   Stage I paths cross the step programs.  The fiber side also runs at
+   24 domains: with n up to 60 the live sets cross both the sharding
+   threshold (16) and the domain count, and everything but telemetry's
+   host-side utilization fields must still agree. *)
 let prop_compiled_matches_fiber =
   QCheck.Test.make
     ~name:"compiled mode == fiber mode (verdict + stats + telemetry JSON)"
@@ -205,28 +208,36 @@ let prop_compiled_matches_fiber =
     (fun (family, n, seed) ->
       let g = graph_of ~family ~n ~seed in
       let eps = 0.25 +. float_of_int (seed mod 4) /. 10.0 in
-      let observe mode fast_forward =
+      let observe ~domains mode fast_forward =
         let telemetry = Congest.Telemetry.create () in
-        let r =
-          PT.run ~telemetry ~domains:1 ~fast_forward ~mode g ~eps ~seed
+        let r = PT.run ~telemetry ~domains ~fast_forward ~mode g ~eps ~seed in
+        let host_free =
+          List.map
+            (fun ph ->
+              {
+                ph with
+                Congest.Telemetry.parallel_rounds = 0;
+                max_domains = 0;
+              })
+            (Congest.Telemetry.phases telemetry)
         in
-        ( fingerprint r,
-          r.PT.fast_forwarded_rounds,
+        ( (fingerprint r, r.PT.fast_forwarded_rounds, host_free),
           Congest.Telemetry.Json.to_string (Congest.Telemetry.to_json telemetry)
         )
       in
       List.for_all
         (fun fast_forward ->
-          let base = observe Congest.Compiled.Fiber fast_forward in
-          List.for_all
-            (fun mode ->
-              if observe mode fast_forward = base then true
-              else
-                QCheck.Test.fail_reportf
-                  "mode %s diverges from fiber: %s n=%d seed=%d eps=%.2f ff=%b"
-                  (Congest.Compiled.mode_to_string mode)
-                  (family_name family) n seed eps fast_forward)
-            [ Congest.Compiled.Compiled; Congest.Compiled.Auto ])
+          let fail what =
+            QCheck.Test.fail_reportf
+              "%s diverges from serial fiber: %s n=%d seed=%d eps=%.2f ff=%b"
+              what (family_name family) n seed eps fast_forward
+          in
+          let base = observe ~domains:1 Congest.Compiled.Fiber fast_forward in
+          (observe ~domains:1 Congest.Compiled.Compiled fast_forward = base
+          || fail "mode compiled")
+          && (fst (observe ~domains:24 Congest.Compiled.Fiber fast_forward)
+              = fst base
+             || fail "fiber at 24 domains"))
         [ true; false ])
 
 (* --- 4. fuzz the framing / fragmentation path ------------------------ *)
