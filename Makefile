@@ -17,7 +17,8 @@ bench:
 # invariant under fault injection, the domains x fast-forward x fault-seed
 # accounting invariant, and the Bits fragmentation fuzz.  QCHECK_SEED pins
 # the random state (CI sets it per matrix leg); PROP_DOMAINS caps the
-# domain sweep (default 4).  On failure qcheck prints the shrunk
+# exhaustive part of the domain sweep (default 4), to which each
+# sweep adds one drawn D in 5..64.  On failure qcheck prints the shrunk
 # counterexample — paste it into a regression test.
 #   make fuzz                           # fresh random seed
 #   make fuzz QCHECK_SEED=1234          # reproduce a CI leg
@@ -180,7 +181,7 @@ scale: build
 	mkdir -p $(SCALE_DIR)
 	dune exec bench/main.exe -- --quick --no-timings --only M1 \
 	  --json $(SCALE_DIR)/m1.json
-	./_build/default/bin/planartest.exe gen --family far -n 4000 \
+	./_build/default/bin/planartest.exe gen --family far --n 4000 \
 	  --param 0.3 --seed 5 > $(SCALE_DIR)/g.txt
 	./_build/default/bin/planartest.exe test $(SCALE_DIR)/g.txt --eps 0.05 \
 	  --stats-json $(SCALE_DIR)/full.json --log-level warn > /dev/null
@@ -213,7 +214,9 @@ scale: build
 
 # Compiled execution-mode gate (also a CI leg).  Three halves:
 #   1. byte-identity — the same planartest run under --mode fiber and
-#      --mode compiled must produce cmp-identical stats JSON, and the
+#      --mode compiled must produce cmp-identical stats JSON (on a grid,
+#      on an Apollonian graph whose many parts run Stage II, and on a
+#      far graph that rejects in Stage I phase 2), and the
 #      same quick bench E1 sweep must produce cmp-identical BENCH JSON
 #      (--no-timings strips the only legitimately host-dependent
 #      fields).
@@ -237,6 +240,26 @@ compiled: build
 	  --eps 0.3 --mode compiled --stats-json $(COMPILED_DIR)/compiled.json \
 	  --log-level warn > /dev/null
 	cmp $(COMPILED_DIR)/fiber.json $(COMPILED_DIR)/compiled.json
+	./_build/default/bin/planartest.exe gen --family apollonian --n 1024 \
+	  > $(COMPILED_DIR)/apollonian.txt
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/apollonian.txt \
+	  --eps 0.3 --mode fiber --stats-json $(COMPILED_DIR)/apollonian-fiber.json \
+	  --log-level warn > /dev/null
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/apollonian.txt \
+	  --eps 0.3 --mode compiled \
+	  --stats-json $(COMPILED_DIR)/apollonian-compiled.json \
+	  --log-level warn > /dev/null
+	cmp $(COMPILED_DIR)/apollonian-fiber.json \
+	  $(COMPILED_DIR)/apollonian-compiled.json
+	./_build/default/bin/planartest.exe gen --family far --n 4000 \
+	  --param 0.2 --seed 1 > $(COMPILED_DIR)/far.txt
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/far.txt \
+	  --eps 0.1 --mode fiber --stats-json $(COMPILED_DIR)/far-fiber.json \
+	  --log-level warn > /dev/null
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/far.txt \
+	  --eps 0.1 --mode compiled --stats-json $(COMPILED_DIR)/far-compiled.json \
+	  --log-level warn > /dev/null
+	cmp $(COMPILED_DIR)/far-fiber.json $(COMPILED_DIR)/far-compiled.json
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \
 	  --mode fiber --json $(COMPILED_DIR)/e1-fiber.json > /dev/null
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \
@@ -317,7 +340,7 @@ L1_MAX_OVERHEAD_PCT ?= 2
 live: build
 	mkdir -p $(LIVE_DIR)
 	rm -f $(LIVE_DIR)/ck.bin $(LIVE_DIR)/runs.jsonl
-	./_build/default/bin/planartest.exe gen --family far -n 4000 \
+	./_build/default/bin/planartest.exe gen --family far --n 4000 \
 	  --param 0.3 --seed 5 > $(LIVE_DIR)/g.txt
 	./_build/default/bin/planartest.exe test $(LIVE_DIR)/g.txt --eps 0.05 \
 	  --heartbeat $(LIVE_DIR)/hb.json --checkpoint $(LIVE_DIR)/ck.bin \

@@ -1571,16 +1571,17 @@ let m1_memory_substrate () =
           | Some s -> s.Partition.Stage1.state
           | None -> assert false
         in
+        let module Eng = Partition.State.Cmp.Eng in
         let fp =
-          Partition.State.Eng.footprint
+          Eng.footprint
             (Partition.State.Cmp.fiber_pool st.Partition.State.pool)
         in
         let nn = Graph.n g and m = Graph.m g in
         let per_node =
-          float_of_int (gnode + fp.Partition.State.Eng.node_bytes)
+          float_of_int (gnode + fp.Eng.node_bytes)
           /. float_of_int nn
         and per_edge =
-          float_of_int (gedge + fp.Partition.State.Eng.edge_bytes)
+          float_of_int (gedge + fp.Eng.edge_bytes)
           /. float_of_int (max 1 m)
         in
         let verdict =
@@ -1592,9 +1593,9 @@ let m1_memory_substrate () =
         ( family,
           nn,
           m,
-          gnode + fp.Partition.State.Eng.node_bytes,
-          gedge + fp.Partition.State.Eng.edge_bytes,
-          fp.Partition.State.Eng.slab_bytes,
+          gnode + fp.Eng.node_bytes,
+          gedge + fp.Eng.edge_bytes,
+          fp.Eng.slab_bytes,
           per_node,
           per_edge,
           wall,
@@ -1663,9 +1664,9 @@ let c1_compiled_hot_path () =
         Generators.grid side side
   in
   (* Serial timing on purpose; [parmap] concurrency would distort it.
-     Stage I only: that is where the compiled hot path runs (Stage II is
-     a constant number of rounds per part and always uses the fiber
-     engine, so folding it in would just dilute the measurement). *)
+     Stage I only: that is where the per-round hot path is (Stage II is
+     a constant number of rounds per part, so folding it in would just
+     dilute the measurement). *)
   let point family ff =
     let g = mk_g family in
     let run1 m =

@@ -511,11 +511,10 @@ let test_cmd =
   in
   let mode_arg =
     let doc =
-      "Executor for the lockstep Stage I primitives, each written once as \
-       a step program: $(b,fiber) (the effect-handler engine) or \
+      "Executor for every Stage I and Stage II engine run, each written \
+       once as a step program: $(b,fiber) (the effect-handler engine) or \
        $(b,compiled) (flat array passes; active --faults force the fiber \
-       executor).  Stage II always runs on the fiber engine.  The \
-       verdict, statistics, telemetry and --trace event stream are \
+       executor).  The verdict, statistics, telemetry and --trace event stream are \
        byte-identical across modes."
     in
     Arg.(value & opt string "fiber" & info [ "mode" ] ~docv:"MODE" ~doc)

@@ -2,10 +2,11 @@
 
     A step program is a node protocol of one restricted shape: a node
     does some work at start-up, parks for a known number of rounds, and
-    is re-entered once per delivery or deadline with its inbox.  Stage
-    I's lockstep primitives ([Partition.Prims]) and the {!Protocols}
-    helpers are all written once, in this shape, as a [start] / [resume]
-    pair, and {!Make.run} executes them on either executor:
+    is re-entered once per delivery or deadline with its inbox.  Every
+    partition and tester protocol ([Partition.Prims] and its callers)
+    and the {!Protocols} helpers are written once, in this shape, as a
+    [start] / [resume] pair, and {!Make.run} executes them on either
+    executor:
 
     - {b flat} ([mode = Compiled], no active faults) — flat array passes
       over the CSR substrate, one pass per simulated round: no fibers,
@@ -28,8 +29,8 @@
     resume/park trace events exactly.  The differential suites in
     [test/test_prop.ml] and [test/test_congest.ml] and the
     [make compiled] CI leg enforce this.  Free-form node programs (nested
-    waits, local recursion — Stage II's passes) do not fit the shape and
-    run on {!Engine} directly. *)
+    waits, local recursion) do not fit the shape and run on {!Engine}
+    directly; in the library only [Tester.Elkin_neiman] still does. *)
 
 (** Execution-mode knob threaded through [Stage1], [Planarity_tester],
     [Protocols] and the CLIs ([planartest --mode], [bench --mode]). *)
@@ -51,8 +52,8 @@ module type MESSAGE = sig
 end
 
 module Make (Msg : MESSAGE) : sig
-  (** The fiber engine over the same message type — the fiber executor,
-      and the engine free-form node programs use directly. *)
+  (** The fiber engine over the same message type — the fiber
+      executor. *)
   module Eng : module type of Engine.Make (Msg)
 
   (** What a node does next, returned by the [start] / [resume] hooks:
@@ -75,8 +76,7 @@ module Make (Msg : MESSAGE) : sig
 
   val pool : Graphlib.Graph.t -> pool
 
-  (** The fiber half, for free-form {!Eng.run} programs over the same
-      graph. *)
+  (** The fiber half, e.g. to read its {!Eng.footprint}. *)
   val fiber_pool : pool -> Eng.pool
 
   (** Queue a message to a neighbor (binary-search edge lookup, exactly

@@ -1522,6 +1522,17 @@ module Make (Msg : MESSAGE) = struct
        | None -> ());
        raise e);
     if !culled > 0 || eng.fail_log <> [] then completed := false;
+    (* A run that claims completion must have finished every node: one
+       O(n) scan, so a scheduling bug that drops a node cannot pass for
+       a clean run. *)
+    if !completed then
+      Array.iteri
+        (fun v o ->
+          if Option.is_none o then
+            failwith
+              (Printf.sprintf
+                 "Engine.run: completed run has no output for node %d" v))
+        outputs;
     Run_metrics.record_run ~mode:"fiber" ~domains:d_req ~t0:m_t0 eng.estats
       ~completed:!completed;
     {

@@ -171,7 +171,9 @@ module Make (Msg : MESSAGE) : sig
     stats : Stats.t;
     completed : bool;
         (** all nodes ran to completion (false when [max_rounds] hit, a
-            node crash-stopped, or a failure was recorded) *)
+            node crash-stopped, or a failure was recorded).  Checked
+            before [run] returns: a run that would report [true] with a
+            node lacking an output raises [Failure] instead. *)
   }
 
   (** Deduplicated display view of a rejection log: distinct

@@ -24,59 +24,59 @@ let run ?(seed = 0) g ~eps =
       2 + int_of_float (ceil (log (float_of_int (max n 2)) /. beta))
     in
     let capped = ref 0 in
-    (* best wave per node: (value, source, delivering neighbor) *)
-    let best_val = Array.make n neg_infinity in
-    let best_src = Array.make n (-1) in
+    (* Each node draws its shift r_v ~ Exp(beta) locally. *)
+    let shift v =
+      let rng = Random.State.make [| seed; v; 0xe14 |] in
+      let r_v = -.log (1.0 -. Random.State.float rng 1.0) /. beta in
+      if r_v >= float_of_int radius_bound then begin
+        incr capped;
+        float_of_int radius_bound -. 1.0
+      end
+      else r_v
+    in
+    (* best wave per node: (value, source, delivering neighbor), and the
+       last (value, source) it broadcast *)
+    let best_val = Array.init n shift in
+    let best_src = Array.init n Fun.id in
     let best_from = Array.make n (-1) in
-    Prims.run_program st ~seed (fun ctx nd ->
+    let last_val = Array.make n neg_infinity in
+    let last_src = Array.make n max_int in
+    (* Lexicographic maximum on (value, -source): ties in the scaled
+       arithmetic resolve toward the smaller source everywhere, which
+       makes the quiescent parent pointers cluster-consistent. *)
+    let beats (x : float) (src : int) y src' =
+      x > y || (x = y && src < src')
+    in
+    let maybe_broadcast ctx v =
+      if beats best_val.(v) best_src.(v) last_val.(v) last_src.(v) then begin
+        last_val.(v) <- best_val.(v);
+        last_src.(v) <- best_src.(v);
+        State.Cmp.broadcast ctx
+          (Msg.Bdry
+             ( 95,
+               [
+                 best_src.(v);
+                 int_of_float ((best_val.(v) -. 1.0) *. float_of_int scale);
+               ] ))
+      end
+    in
+    Prims.relay st ~budget:(2 * radius_bound)
+      ~start:(fun ctx nd -> maybe_broadcast ctx nd.State.id)
+      ~receive:(fun ctx nd inbox ->
         let v = nd.State.id in
-        let rng = Random.State.make [| seed; v; 0xe14 |] in
-        let r_v = -.log (1.0 -. Random.State.float rng 1.0) /. beta in
-        let r_v =
-          if r_v >= float_of_int radius_bound then begin
-            incr capped;
-            float_of_int radius_bound -. 1.0
-          end
-          else r_v
-        in
-        best_val.(v) <- r_v;
-        best_src.(v) <- v;
-        (* Lexicographic maximum on (value, -source): ties in the scaled
-           arithmetic resolve toward the smaller source everywhere, which
-           makes the quiescent parent pointers cluster-consistent. *)
-        let better x src =
-          x > best_val.(v) || (x = best_val.(v) && src < best_src.(v))
-        in
-        let last_sent = ref (neg_infinity, max_int) in
-        let maybe_broadcast () =
-          if
-            best_val.(v) > fst !last_sent
-            || (best_val.(v) = fst !last_sent && best_src.(v) < snd !last_sent)
-          then begin
-            last_sent := (best_val.(v), best_src.(v));
-            let payload =
-              [ best_src.(v); int_of_float ((best_val.(v) -. 1.0) *. float_of_int scale) ]
-            in
-            Array.iter
-              (fun (nbr, _) -> Prims.send ctx ~dest:nbr (Msg.Bdry (95, payload)))
-              (Graph.incident g v)
-          end
-        in
-        maybe_broadcast ();
-        Prims.wait_rounds ctx ~budget:(2 * radius_bound) (fun inbox ->
-            List.iter
-              (fun (from, msg) ->
-                match msg with
-                | Msg.Bdry (95, [ src; scaled ]) ->
-                    let x = float_of_int scaled /. float_of_int scale in
-                    if better x src then begin
-                      best_val.(v) <- x;
-                      best_src.(v) <- src;
-                      best_from.(v) <- from
-                    end
-                | _ -> assert false)
-              inbox;
-            maybe_broadcast ()));
+        List.iter
+          (fun (from, msg) ->
+            match msg with
+            | Msg.Bdry (95, [ src; scaled ]) ->
+                let x = float_of_int scaled /. float_of_int scale in
+                if beats x src best_val.(v) best_src.(v) then begin
+                  best_val.(v) <- x;
+                  best_src.(v) <- src;
+                  best_from.(v) <- from
+                end
+            | _ -> assert false)
+          inbox;
+        maybe_broadcast ctx v);
     (* Install the partition: part root = cluster source, tree = the
        first-contact (best-delivery) edges; children via one more round. *)
     Array.iter
@@ -86,16 +86,16 @@ let run ?(seed = 0) g ~eps =
         nd.State.parent <- best_from.(v);
         nd.State.children <- [])
       st.State.nodes;
-    Prims.run_program st (fun ctx nd ->
-        (if nd.State.parent >= 0 then
-           Prims.send ctx ~dest:nd.State.parent (Msg.Bdry (96, [])));
-        let inbox = Prims.sync ctx in
-        List.iter
-          (fun (from, msg) ->
+    Prims.exchange st
+      ~send:(fun ctx nd ->
+        if nd.State.parent >= 0 then
+          State.Cmp.send ctx ~dest:nd.State.parent (Msg.Bdry (96, [])))
+      ~receive:(fun nd ->
+        List.iter (fun (from, msg) ->
             match msg with
-            | Msg.Bdry (96, []) -> nd.State.children <- from :: nd.State.children
-            | _ -> assert false)
-          inbox);
+            | Msg.Bdry (96, []) ->
+                nd.State.children <- from :: nd.State.children
+            | _ -> assert false));
     Prims.refresh_roots st;
     State.check_invariants st;
     {

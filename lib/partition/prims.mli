@@ -1,32 +1,55 @@
-(** Tree and boundary communication primitives of the Stage I emulation.
+(** Tree and boundary communication of the partition and tester passes.
 
-    Every primitive executes one complete CONGEST protocol over the whole
-    network in which all nodes follow the same fixed round schedule.
-    Each is written once, as a {!Congest.Compiled} step program, and runs
-    on the executor [st.mode] selects (the fiber engine, or flat array
-    passes; active [st.faults] force the fiber engine) with
-    byte-identical accounting either way.  The fixed schedule keeps
-    chained primitives in lockstep — exactly the fixed-budget scheduling
-    the paper uses (it budgets each emulated super-round by the [4^i]
-    diameter bound; we budget by the true maximum part depth and account
-    the nominal schedule separately).
+    Every protocol here executes one complete CONGEST run over the whole
+    network in which all nodes follow the same fixed round schedule, and
+    there are only two schedules: a one-round {!exchange}, and a
+    {!relay} that runs for a fixed round budget.  Each run is a
+    {!Congest.Compiled} step program and executes on the executor
+    [st.mode] selects (the fiber engine, or flat array passes; active
+    [st.faults] force the fiber engine) with byte-identical accounting
+    either way.  The fixed schedule keeps chained runs in lockstep —
+    exactly the fixed-budget scheduling the paper uses (it budgets each
+    emulated super-round by the [4^i] diameter bound; we budget by the
+    true maximum part depth and account the nominal schedule
+    separately).
 
-    Round statistics accumulate into [st.stats].  When [st.trace] is set,
-    each primitive wraps its engine run in a {!Congest.Trace.span} named
-    after itself ("refresh_roots", "bcast", "converge", "boundary"), and
-    the run's events land on the trace's continuous timeline. *)
+    The four named primitives ({!refresh_roots}, {!bcast}, {!converge},
+    {!boundary}) are built on those two schedules; the Stage I merging
+    hand-offs and the Stage II passes call {!exchange} and {!relay}
+    directly.
 
-module Eng : sig
-  type ctx
+    Round statistics accumulate into [st.stats].  A run that cannot
+    complete under an active fault policy (a crash-stopped node, or
+    [max_rounds]) raises {!Congest.Faults.Degraded} after still
+    accumulating its stats.  When [st.trace] is set, each named
+    primitive wraps its engine run in a {!Congest.Trace.span} named
+    after itself ("refresh_roots", "bcast", "converge", "boundary");
+    bare {!exchange} and {!relay} runs open no span.  Every run's events
+    land on the trace's continuous timeline. *)
 
-  type 'o result = {
-    outputs : 'o option array;
-    rejections : (int * int * string) list;  (** (round, node, reason) *)
-    failures : (int * int * exn) list;  (** (round, node, exn) *)
-    stats : Congest.Stats.t;
-    completed : bool;
-  }
-end
+(** [exchange st ~send ~receive] runs one round over the whole network:
+    [send ctx nd] queues node [nd]'s messages at start-up (through
+    {!State.Cmp.send} and friends), then every node passes its round-1
+    inbox (possibly empty) to [receive nd inbox] and halts. *)
+val exchange :
+  State.t ->
+  send:(State.Cmp.ctx -> State.node -> unit) ->
+  receive:(State.node -> (int * Msg.t) list -> unit) ->
+  unit
+
+(** [relay st ~budget ~start ~receive] runs every node for exactly
+    [budget] rounds: [start ctx nd] at start-up, then [receive ctx nd
+    inbox] on every non-empty inbox, which may send again.  Nodes park
+    in between, so quiet spans fast-forward.  [at_deadline nd] runs as
+    each node halts at round [budget]; raise there to fail a node whose
+    protocol did not finish in time. *)
+val relay :
+  ?at_deadline:(State.node -> unit) ->
+  State.t ->
+  budget:int ->
+  start:(State.Cmp.ctx -> State.node -> unit) ->
+  receive:(State.Cmp.ctx -> State.node -> (int * Msg.t) list -> unit) ->
+  unit
 
 (** One round: every node tells every neighbor its current part root;
     updates [nbr_root]. *)
@@ -70,41 +93,3 @@ val boundary :
   payload:(State.node -> port:int -> nbr:int -> int list option) ->
   on_receive:(State.node -> nbr:int -> int list -> unit) ->
   unit
-
-(** [run_program st program] escape hatch: run an arbitrary node program
-    over the state's graph, accumulating stats.  [program] receives the
-    engine context and this node's state.  [seed] feeds the per-node
-    random states.  When [st.faults] is an active policy the engine
-    injects its fault schedule; a run that cannot complete under it (a
-    crash-stopped node, or [max_rounds]) raises
-    {!Congest.Faults.Degraded} after still accumulating the run's stats. *)
-val run_program :
-  ?seed:int -> State.t -> (Eng.ctx -> State.node -> unit) -> unit
-
-(** Per-node random state (valid inside [run_program]). *)
-val rng : Eng.ctx -> Random.State.t
-
-(** Node-level API usable inside [run_program]. *)
-val sync : Eng.ctx -> (int * Msg.t) list
-
-(** [wait ctx k]: park until the first arrival or for [k] rounds,
-    whichever comes first (see {!Congest.Engine.Make.wait}); prefer it
-    over a [k]-iteration [sync] loop so quiet spans can be
-    fast-forwarded. *)
-val wait : Eng.ctx -> int -> (int * Msg.t) list
-
-(** Current round number inside a run. *)
-val round : Eng.ctx -> int
-
-(** [wait_rounds ctx ~budget on_inbox] runs the node for exactly [budget]
-    further rounds, invoking [on_inbox] on every non-empty inbox and
-    parking it in between.  Drop-in replacement for a [budget]-iteration
-    [sync] loop whose empty-inbox iterations are no-ops: the node observes
-    the same arrivals in the same rounds and finishes in the same round,
-    but quiet spans become fast-forwardable. *)
-val wait_rounds :
-  Eng.ctx -> budget:int -> ((int * Msg.t) list -> unit) -> unit
-
-val send : Eng.ctx -> dest:int -> Msg.t -> unit
-
-val reject : Eng.ctx -> string -> unit

@@ -1,7 +1,6 @@
 open Graphlib
 
 module Cmp = Congest.Compiled.Make (Msg)
-module Eng = Cmp.Eng
 
 type node = {
   id : int;

@@ -6,14 +6,10 @@
     (Lemma 6).  The forest-decomposition fields mirror the super-round
     emulation of Section 2.1.5 and are only meaningful at part roots. *)
 
-(** The step-program runner all partition/tester code shares: the
-    lockstep {!Prims} primitives are step programs run on the executor
-    {!t.mode} selects (see {!Congest.Compiled}). *)
+(** The step-program runner all partition/tester code shares: every
+    {!Prims} protocol is a step program run on the executor {!t.mode}
+    selects (see {!Congest.Compiled}). *)
 module Cmp : module type of Congest.Compiled.Make (Msg)
-
-(** The fiber engine behind [Cmp], which free-form node programs
-    ({!Prims.run_program}) use directly. *)
-module Eng = Cmp.Eng
 
 type node = {
   id : int;
@@ -96,11 +92,10 @@ type t = {
           that cannot complete under it raises {!Congest.Faults.Degraded}
           rather than failing silently *)
   mutable mode : Congest.Compiled.mode;
-      (** executor for the lockstep {!Prims} primitives (default
-          [Fiber]); [Compiled] runs them as flat array passes unless
-          faults are active — accounting is byte-identical either way
-          (see {!Congest.Compiled}).  Free-form {!Prims.run_program} node
-          programs always use the fiber engine. *)
+      (** executor for every {!Prims} run (default [Fiber]); [Compiled]
+          runs them as flat array passes unless faults are active —
+          accounting is byte-identical either way (see
+          {!Congest.Compiled}). *)
   mutable on_round : (int -> unit) option;
       (** host-side per-round observer threaded to every engine run
           through {!Prims} (fiber and compiled alike): [f 1] per stepped

@@ -35,36 +35,37 @@ let build st =
       nd.S.children <- [])
     st.S.nodes;
   let dist = Array.make n (-1) in
-  P.run_program st (fun ctx nd ->
-      let send_intra msg = iter_intra st nd (fun _ nbr -> P.send ctx ~dest:nbr msg) in
-      (if S.is_root st nd.S.id then begin
-         dist.(nd.S.id) <- 0;
-         send_intra (M.Bdry (81, [ 0 ]))
-       end);
-      P.wait_rounds ctx ~budget
-        (List.iter (fun (from, msg) ->
-             match msg with
-             | M.Bdry (81, [ d ]) ->
-                 if nd.S.parent = -1 && not (S.is_root st nd.S.id) then begin
-                   nd.S.parent <- from;
-                   dist.(nd.S.id) <- d + 1;
-                   P.send ctx ~dest:from (M.Bdry (82, []));
-                   send_intra (M.Bdry (81, [ d + 1 ]))
-                 end
-             | M.Bdry (82, []) -> nd.S.children <- from :: nd.S.children
-             | _ -> assert false)));
+  let send_intra ctx nd msg =
+    iter_intra st nd (fun _ nbr -> S.Cmp.send ctx ~dest:nbr msg)
+  in
+  P.relay st ~budget
+    ~start:(fun ctx nd ->
+      if S.is_root st nd.S.id then begin
+        dist.(nd.S.id) <- 0;
+        send_intra ctx nd (M.Bdry (81, [ 0 ]))
+      end)
+    ~receive:(fun ctx nd ->
+      List.iter (fun (from, msg) ->
+          match msg with
+          | M.Bdry (81, [ d ]) ->
+              if nd.S.parent = -1 && not (S.is_root st nd.S.id) then begin
+                nd.S.parent <- from;
+                dist.(nd.S.id) <- d + 1;
+                S.Cmp.send ctx ~dest:from (M.Bdry (82, []));
+                send_intra ctx nd (M.Bdry (81, [ d + 1 ]))
+              end
+          | M.Bdry (82, []) -> nd.S.children <- from :: nd.S.children
+          | _ -> assert false));
   let nbr_level = Array.make n [] in
-  P.run_program st (fun ctx nd ->
-      iter_intra st nd (fun _ nbr ->
-          P.send ctx ~dest:nbr (M.Bdry (83, [ dist.(nd.S.id) ])));
-      let inbox = P.sync ctx in
-      List.iter
-        (fun (from, msg) ->
+  P.exchange st
+    ~send:(fun ctx nd ->
+      send_intra ctx nd (M.Bdry (83, [ dist.(nd.S.id) ])))
+    ~receive:(fun nd ->
+      List.iter (fun (from, msg) ->
           match msg with
           | M.Bdry (83, [ d ]) ->
               nbr_level.(nd.S.id) <- (from, d) :: nbr_level.(nd.S.id)
-          | _ -> assert false)
-        inbox);
+          | _ -> assert false));
   { dist; nbr_level; depth_bound }
 
 let is_tree_edge st v w =

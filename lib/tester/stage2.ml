@@ -209,23 +209,24 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           scan pl));
   (* Step 5: label distribution down the BFS trees. *)
   let label = Array.make n [] in
-  P.run_program st (fun ctx nd ->
-      let send_child_labels mylab =
-        Tester_util.scan nd rotation (fun w rank t ->
-            if t = 0 then P.send ctx ~dest:w (M.Down (85, mylab @ [ rank ])))
-      in
-      (if S.is_root st nd.S.id then begin
-         label.(nd.S.id) <- [];
-         send_child_labels []
-       end);
-      P.wait_rounds ctx ~budget
-        (List.iter (fun (from, msg) ->
-             match msg with
-             | M.Down (85, lab) ->
-                 assert (from = nd.S.parent);
-                 label.(nd.S.id) <- lab;
-                 send_child_labels lab
-             | _ -> assert false)));
+  let send_child_labels ctx nd mylab =
+    Tester_util.scan nd rotation (fun w rank t ->
+        if t = 0 then S.Cmp.send ctx ~dest:w (M.Down (85, mylab @ [ rank ])))
+  in
+  P.relay st ~budget
+    ~start:(fun ctx nd ->
+      if S.is_root st nd.S.id then begin
+        label.(nd.S.id) <- [];
+        send_child_labels ctx nd []
+      end)
+    ~receive:(fun ctx nd ->
+      List.iter (fun (from, msg) ->
+          match msg with
+          | M.Down (85, lab) ->
+              assert (from = nd.S.parent);
+              label.(nd.S.id) <- lab;
+              send_child_labels ctx nd lab
+          | _ -> assert false));
   (* Step 6: corner keys of incident non-tree edges; exchange across each
      edge so the assigned endpoint holds the sorted key pair. *)
   let inf = (2 * n) + 1 in
@@ -238,13 +239,13 @@ let run ?(embedding = Oracle) st ~eps ~seed =
               (w, label.(nd.S.id) @ [ rank; inf; t ]) :: my_keys.(nd.S.id)))
     st.S.nodes;
   let assigned_pairs = Array.make n [] in
-  P.run_program st (fun ctx nd ->
+  P.exchange st
+    ~send:(fun ctx nd ->
       List.iter
-        (fun (w, key) -> P.send ctx ~dest:w (M.Bdry (86, key)))
-        my_keys.(nd.S.id);
-      let inbox = P.sync ctx in
-      List.iter
-        (fun (from, msg) ->
+        (fun (w, key) -> S.Cmp.send ctx ~dest:w (M.Bdry (86, key)))
+        my_keys.(nd.S.id))
+    ~receive:(fun nd ->
+      List.iter (fun (from, msg) ->
           match msg with
           | M.Bdry (86, key_other) ->
               if assigned_to nd from then begin
@@ -255,8 +256,7 @@ let run ?(embedding = Oracle) st ~eps ~seed =
                 in
                 assigned_pairs.(nd.S.id) <- pair :: assigned_pairs.(nd.S.id)
               end
-          | _ -> assert false)
-        inbox);
+          | _ -> assert false));
   (* Step 7: roots broadcast the part's non-tree edge count. *)
   let nt_count = Array.make n 0 in
   P.bcast st ~budget ~tag:87

@@ -11,7 +11,8 @@
      faults off or on.
 
    - Stats accounting is a pure function of the input: identical across
-     engine domain counts (1..PROP_DOMAINS, default 4), fast-forward
+     engine domain counts (1..PROP_DOMAINS, default 4, plus one drawn
+     D in 5..64), fast-forward
      on/off, and any fault seed — the PR 2 determinism contract extended
      to fault injection.
 
@@ -34,6 +35,14 @@ let max_domains =
   match Sys.getenv_opt "PROP_DOMAINS" with
   | Some s -> ( match int_of_string_opt s with Some d when d >= 1 -> d | _ -> 4)
   | None -> 4
+
+(* The domain sweeps run 1..max_domains plus one drawn D in 5..64, so a
+   case's live sets cross both the sharding threshold (16) and D. *)
+let wide_domains = QCheck.int_range 5 64
+
+let domain_sweep wide =
+  List.init max_domains (fun i -> i + 1)
+  @ if wide > max_domains then [ wide ] else []
 
 (* --- generators ----------------------------------------------------- *)
 
@@ -154,20 +163,21 @@ let prop_stats_invariance =
   QCheck.Test.make
     ~name:
       (Printf.sprintf
-         "report invariant across domains 1..%d x ff on/off x fault seeds"
+         "report invariant across domains 1..%d x one D in 5..64 x ff \
+          on/off x fault seeds"
          max_domains)
     ~count:8
     QCheck.(
-      pair
+      triple
         (triple (int_range 0 3) (int_range 8 48) (int_range 0 10000))
-        (triple (int_range 0 1000) (int_range 0 7) (int_range 0 20)))
-    (fun ((family, n, seed), (fseed, intensity, crash)) ->
+        (triple (int_range 0 1000) (int_range 0 7) (int_range 0 20))
+        wide_domains)
+    (fun ((family, n, seed), (fseed, intensity, crash), wide) ->
       let g = graph_of ~family ~n ~seed in
       let faults = policy_of ~fseed ~intensity ~crash ~n:(Graph.n g) in
       let base =
         fingerprint (PT.run ?faults ~domains:1 ~fast_forward:true g ~eps:0.3 ~seed)
       in
-      let rec domains_list d = if d > max_domains then [] else d :: domains_list (d + 1) in
       List.for_all
         (fun domains ->
           List.for_all
@@ -187,7 +197,7 @@ let prop_stats_invariance =
                   | None -> "off")
                   domains fast_forward)
             [ true; false ])
-        (domains_list 1))
+        (domain_sweep wide))
 
 (* --- 3b. compiled hot path == fiber engine --------------------------- *)
 
@@ -549,12 +559,15 @@ let prop_portfolio_invariance =
   QCheck.Test.make
     ~name:
       (Printf.sprintf
-         "bipartite/cycle-free totals invariant across domains 1..%d x ff \
-          x mode"
+         "bipartite/cycle-free totals invariant across domains 1..%d x \
+          one D in 5..64 x ff x mode"
          max_domains)
     ~count:6
-    QCheck.(triple (int_range 0 3) (int_range 8 40) (int_range 0 10000))
-    (fun (family, n, seed) ->
+    QCheck.(
+      pair
+        (triple (int_range 0 3) (int_range 8 40) (int_range 0 10000))
+        wide_domains)
+    (fun ((family, n, seed), wide) ->
       let g = graph_of ~family ~n ~seed in
       let runs =
         [
@@ -570,7 +583,6 @@ let prop_portfolio_invariance =
                    ~mode g ~eps:0.3) );
         ]
       in
-      let rec doms d = if d > max_domains then [] else d :: doms (d + 1) in
       List.for_all
         (fun (prop, run) ->
           let base =
@@ -596,7 +608,7 @@ let prop_portfolio_invariance =
                           (Congest.Compiled.mode_to_string mode))
                     [ Congest.Compiled.Fiber; Congest.Compiled.Compiled ])
                 [ true; false ])
-            (doms 1))
+            (domain_sweep wide))
         runs)
 
 let () =

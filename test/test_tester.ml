@@ -641,6 +641,59 @@ let test_checkpoint_rejects_exp_shifts () =
        false
      with Invalid_argument _ -> true)
 
+(* [--mode compiled] must mean compiled: every protocol the testers run
+   is a step program, so a fault-free compiled run records no fiber
+   engine runs, and an active fault policy forces every run onto the
+   fiber engine.  Read off the [congest_mode_runs] counter. *)
+let mode_runs mode =
+  List.find_map
+    (fun (f : Obs.Metrics.family) ->
+      if f.Obs.Metrics.name <> "congest_mode_runs" then None
+      else
+        List.find_map
+          (fun (s : Obs.Metrics.series) ->
+            match s.Obs.Metrics.value with
+            | Obs.Metrics.Counter_v v
+              when s.Obs.Metrics.labels = [ ("mode", mode) ] ->
+                Some v
+            | _ -> None)
+          f.Obs.Metrics.series)
+    (Obs.Metrics.snapshot ())
+  |> Option.value ~default:0
+
+let test_compiled_mode_runs_no_fibers () =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.set_enabled was;
+      Obs.Metrics.reset ())
+  @@ fun () ->
+  let mode = Congest.Compiled.Compiled in
+  let delta label ~absent f =
+    Obs.Metrics.reset ();
+    f ();
+    check cb (label ^ ": ran something") true
+      (mode_runs "fiber" + mode_runs "compiled" > 0);
+    check ci (Printf.sprintf "%s: %s runs" label absent) 0 (mode_runs absent)
+  in
+  let grid = Generators.grid 12 12 in
+  let apollonian = Generators.apollonian (Random.State.make [| 3 |]) 200 in
+  List.iter
+    (fun (name, g) ->
+      delta name ~absent:"fiber" (fun () ->
+          let r = PT.run ~mode g ~eps:0.3 ~seed:1 in
+          check cb (name ^ " accepts") true (r.PT.verdict = PT.Accept);
+          check cb (name ^ " reaches Stage II") true (r.PT.stage2 <> None));
+      delta (name ^ " bipartite") ~absent:"fiber" (fun () ->
+          ignore (Tester.Bipartite_tester.run ~mode g ~eps:0.3 ~seed:1));
+      delta (name ^ " cycle-free") ~absent:"fiber" (fun () ->
+          ignore (Tester.Cycle_free_tester.run ~mode g ~eps:0.3 ~seed:1)))
+    [ ("grid", grid); ("apollonian", apollonian) ];
+  let faults = Congest.Faults.make ~seed:7 ~delay:0.1 ~max_delay:2 () in
+  delta "grid under faults" ~absent:"compiled" (fun () ->
+      ignore (PT.run ~mode ~faults grid ~eps:0.3 ~seed:1))
+
 let () =
   Alcotest.run "tester"
     [
@@ -680,6 +733,11 @@ let () =
             test_domains_invariant_grid;
           Alcotest.test_case "far graph, domains 1/2/4 + ff off" `Quick
             test_domains_invariant_far;
+        ] );
+      ( "execution-mode",
+        [
+          Alcotest.test_case "compiled mode runs no fibers" `Quick
+            test_compiled_mode_runs_no_fibers;
         ] );
       ( "eps-rescale",
         [
