@@ -214,8 +214,9 @@ scale: build
 
 # Compiled execution-mode gate (also a CI leg).  Three halves:
 #   1. byte-identity — the same planartest run under --mode fiber and
-#      --mode compiled must produce cmp-identical stats JSON (on a grid,
-#      on an Apollonian graph whose many parts run Stage II, and on a
+#      --mode compiled must produce cmp-identical stats JSON (on a grid
+#      — also under a delay fault spec and at --domains 4 — on an
+#      Apollonian graph whose many parts run Stage II, and on a
 #      far graph that rejects in Stage I phase 2), and the
 #      same quick bench E1 sweep must produce cmp-identical BENCH JSON
 #      (--no-timings strips the only legitimately host-dependent
@@ -240,6 +241,22 @@ compiled: build
 	  --eps 0.3 --mode compiled --stats-json $(COMPILED_DIR)/compiled.json \
 	  --log-level warn > /dev/null
 	cmp $(COMPILED_DIR)/fiber.json $(COMPILED_DIR)/compiled.json
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/g.txt \
+	  --eps 0.3 --mode fiber --faults "delay=0.2,maxdelay=8,seed=7" \
+	  --stats-json $(COMPILED_DIR)/faults-fiber.json \
+	  --log-level warn > /dev/null
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/g.txt \
+	  --eps 0.3 --mode compiled --faults "delay=0.2,maxdelay=8,seed=7" \
+	  --stats-json $(COMPILED_DIR)/faults-compiled.json \
+	  --log-level warn > /dev/null
+	cmp $(COMPILED_DIR)/faults-fiber.json $(COMPILED_DIR)/faults-compiled.json
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/g.txt \
+	  --eps 0.3 --mode fiber --domains 4 \
+	  --stats-json $(COMPILED_DIR)/d4-fiber.json --log-level warn > /dev/null
+	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/g.txt \
+	  --eps 0.3 --mode compiled --domains 4 \
+	  --stats-json $(COMPILED_DIR)/d4-compiled.json --log-level warn > /dev/null
+	cmp $(COMPILED_DIR)/d4-fiber.json $(COMPILED_DIR)/d4-compiled.json
 	./_build/default/bin/planartest.exe gen --family apollonian --n 1024 \
 	  > $(COMPILED_DIR)/apollonian.txt
 	./_build/default/bin/planartest.exe test $(COMPILED_DIR)/apollonian.txt \

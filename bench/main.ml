@@ -14,11 +14,11 @@
    results are reassembled in input order, so the report is identical to a
    serial run.  [--domains D] additionally shards node stepping *inside*
    each tester/partition run across D engine domains — every statistic is
-   identical for any D, only wall-clock changes.  [--mode] selects the
-   execution engine for the lockstep Stage I primitives (default fiber;
-   compiled runs them as fiber-free array passes — every statistic and
-   the whole report are byte-identical across modes, see
-   Congest.Compiled).  [--no-timings] skips the
+   identical for any D, only wall-clock changes.  [--mode] selects how
+   the step programs of every tester/partition run step their nodes
+   (default fiber; compiled calls the hooks directly, with no fibers —
+   every statistic and the whole report are byte-identical across
+   modes, see Congest.Compiled).  [--no-timings] skips the
    serial Bechamel micro-benchmark section and suppresses every printed
    wall-clock column (A3's ff off/on set included): the remaining output
    depends only on simulated accounting, so it is stable for CI diffing.
@@ -160,10 +160,9 @@ let only = !only
 let ledger_path = !ledger_path
 
 (* The execution mode threaded into every tester / Stage I run below.
-   The dispatcher falls back to the fiber engine on runs with faults or
-   tracing attached, and all statistics are byte-identical across modes,
-   so the whole report is mode-invariant (C1 checks that claim on the
-   spot, timing both modes). *)
+   All statistics are byte-identical across modes, so the whole report
+   is mode-invariant (C1 checks that claim on the spot, timing both
+   modes). *)
 let mode = !mode
 
 let want id = match only with None -> true | Some ids -> List.mem id ids
@@ -1572,10 +1571,7 @@ let m1_memory_substrate () =
           | None -> assert false
         in
         let module Eng = Partition.State.Cmp.Eng in
-        let fp =
-          Eng.footprint
-            (Partition.State.Cmp.fiber_pool st.Partition.State.pool)
-        in
+        let fp = Eng.footprint st.Partition.State.pool in
         let nn = Graph.n g and m = Graph.m g in
         let per_node =
           float_of_int (gnode + fp.Eng.node_bytes)

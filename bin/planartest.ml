@@ -511,11 +511,12 @@ let test_cmd =
   in
   let mode_arg =
     let doc =
-      "Executor for every Stage I and Stage II engine run, each written \
-       once as a step program: $(b,fiber) (the effect-handler engine) or \
-       $(b,compiled) (flat array passes; active --faults force the fiber \
-       executor).  The verdict, statistics, telemetry and --trace event stream are \
-       byte-identical across modes."
+      "How every Stage I and Stage II engine run, each written once as a \
+       step program, steps its nodes: $(b,fiber) (one effect-handler \
+       fiber per node) or $(b,compiled) (direct calls, no fibers).  \
+       Delivery, --faults, --domains and fast-forward are the same engine \
+       loop in both, so the verdict, statistics, telemetry and --trace \
+       event stream are byte-identical across modes."
     in
     Arg.(value & opt string "fiber" & info [ "mode" ] ~docv:"MODE" ~doc)
   in

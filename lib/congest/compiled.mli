@@ -1,44 +1,37 @@
-(** Step programs and their two executors.
+(** Step programs and the [--mode] knob.
 
     A step program is a node protocol of one restricted shape: a node
     does some work at start-up, parks for a known number of rounds, and
     is re-entered once per delivery or deadline with its inbox.  Every
-    partition and tester protocol ([Partition.Prims] and its callers)
-    and the {!Protocols} helpers are written once, in this shape, as a
-    [start] / [resume] pair, and {!Make.run} executes them on either
-    executor:
+    protocol in the library ([Partition.Prims] and its callers, the
+    {!Protocols} helpers and [Tester.Elkin_neiman]) is written once, in
+    this shape, as a [start] / [resume] pair, and {!Make.run} executes it
+    in one of two ways on {!Engine}'s single round loop:
 
-    - {b flat} ([mode = Compiled], no active faults) — flat array passes
-      over the CSR substrate, one pass per simulated round: no fibers,
-      no continuations, no per-node stacks, no allocation beyond the
-      messages themselves.  Serial by construction.
-    - {b fiber} ([mode = Fiber], or any active fault policy) — a small
-      adapter over {!Engine.Make.run}: each node's fiber runs [start],
-      then [wait]s once per [Park] and feeds the inbox to [resume].
-      Sharding across [?domains], fault injection, fast-forward and
-      tracing are the engine's own.
+    - {b compiled} ([mode = Compiled]) — {!Engine.Make.run_steps} calls
+      the hooks directly: no effect handler, no continuations, no
+      per-node stacks.
+    - {b fiber} ([mode = Fiber]) — a small adapter over
+      {!Engine.Make.run}: each node's fiber runs [start], then [wait]s
+      once per [Park] and feeds the inbox to [resume].
 
-    {b Byte-identity contract.}  For the same graph and the same
-    fault-free step program, both executors produce {!Stats.t},
-    {!Telemetry} totals and simulated [.ctrace] events byte-identical to
-    each other at the same [fast_forward] setting (and, fiber side, at
-    every [?domains] count; only host-side utilization fields differ): the flat pass replicates the fiber engine's
-    delivery order (ascending sender, reverse send order within a
-    sender), inbox construction, bandwidth charging, round and
-    fast-forward accounting, per-round telemetry ticks and predicted
-    resume/park trace events exactly.  The differential suites in
-    [test/test_prop.ml] and [test/test_congest.ml] and the
-    [make compiled] CI leg enforce this.  Free-form node programs (nested
-    waits, local recursion) do not fit the shape and run on {!Engine}
-    directly; in the library only [Tester.Elkin_neiman] still does. *)
+    Delivery, bandwidth charging, sharding across [?domains], fault
+    injection, fast-forward and tracing are the engine's own in both
+    modes, so the mode only decides how a node is stepped.
+
+    {b Byte-identity contract.}  For the same graph, step program,
+    [fast_forward] setting and fault policy, both modes produce
+    {!Stats.t}, {!Telemetry} and simulated [.ctrace] events
+    byte-identical to each other at every [?domains] count (only the
+    host-side utilization fields depend on the domain count).  The
+    differential suites in [test/test_prop.ml] and [test/test_congest.ml]
+    and the [make compiled] CI leg enforce this. *)
 
 (** Execution-mode knob threaded through [Stage1], [Planarity_tester],
     [Protocols] and the CLIs ([planartest --mode], [bench --mode]). *)
 type mode =
-  | Fiber  (** the effect-handler engine (the default everywhere) *)
-  | Compiled
-      (** the flat executor, except under an active fault policy, which
-          forces the fiber executor *)
+  | Fiber  (** each node is a fiber (the default everywhere) *)
+  | Compiled  (** the hooks are called directly, never on a fiber *)
 
 val mode_to_string : mode -> string
 
@@ -52,32 +45,25 @@ module type MESSAGE = sig
 end
 
 module Make (Msg : MESSAGE) : sig
-  (** The fiber engine over the same message type — the fiber
-      executor. *)
+  (** The engine over the same message type. *)
   module Eng : module type of Engine.Make (Msg)
 
-  (** What a node does next, returned by the [start] / [resume] hooks:
-      [Park k] re-enters the node at the first round with a non-empty
-      inbox, or unconditionally after [k] rounds ([k] is clamped to
-      [>= 1], like the engine's [wait]); [Halt] ends the node. *)
-  type step = Halt | Park of int
+  (** What a node does next, returned by the [start] / [resume] hooks
+      (see {!Engine.step}). *)
+  type step = Engine.step = Halt | Park of int
 
-  (** Execution context handed to the hooks, tagged with the executor
-      running them; the flat executor retargets one context from node to
-      node, so hooks must only use it synchronously. *)
+  (** Execution context handed to the hooks.  In compiled mode one
+      context per domain is retargeted from node to node, so hooks must
+      only use it synchronously. *)
   type ctx
 
-  (** Preallocated per-graph delivery state for both executors, reusable
-      across runs: the fiber engine's pool (allocated up front) and the
-      flat executor's (allocated on the first flat run).  One run at a
-      time; a busy pool or one built for another graph value falls back
-      to fresh allocation. *)
-  type pool
+  (** The engine's preallocated per-graph delivery state
+      ({!Engine.Make.pool}), shared by both modes and reusable across
+      runs.  One run at a time; a busy pool or one built for another
+      graph value falls back to fresh allocation. *)
+  type pool = Eng.pool
 
   val pool : Graphlib.Graph.t -> pool
-
-  (** The fiber half, e.g. to read its {!Eng.footprint}. *)
-  val fiber_pool : pool -> Eng.pool
 
   (** Queue a message to a neighbor (binary-search edge lookup, exactly
       like [Engine.send]).  @raise Invalid_argument on a non-neighbor. *)
@@ -110,18 +96,12 @@ module Make (Msg : MESSAGE) : sig
 
   (** [run ~mode g ~start ~resume] drives every node through its [start]
       hook (round 0), then simulates rounds until every node has halted,
-      on the executor [mode] selects (see the module preamble): [resume]
-      is invoked per node with the round's inbox — possibly [[]] when
-      the park deadline expired with no traffic.  Deliveries, bandwidth
-      charging, telemetry ticks, tracing, fast-forward over quiescent
-      spans and the [max_rounds] cut-off follow [Engine.run]'s semantics
-      byte-for-byte on both executors.  An exception from a hook aborts
-      the run after the round's accounting and propagates.  [?domains]
-      and [?faults] matter to the fiber executor only (the flat executor
-      is serial, and faults force the fiber one);
-      [?on_round] is [Engine.run]'s host-side observer: [f 1] per
-      stepped round, [f delta] per fast-forwarded span.  Defaults match
-      [Engine.run]. *)
+      stepping nodes the way [mode] selects (see the module preamble):
+      [resume] is invoked per node with the round's inbox — possibly
+      [[]] when the park deadline expired with no traffic.  Every other
+      argument is {!Engine.Make.run}'s, with the same meaning and
+      defaults in both modes.  An exception from a hook aborts the run
+      after the round's accounting and propagates. *)
   val run :
     mode:mode ->
     ?bandwidth:int ->

@@ -8,6 +8,8 @@ end
 
 exception Stopped
 
+type step = Halt | Park of int
+
 (* Breaks out of a shard's stepping loop after a node program raised; never
    escapes this module. *)
 exception Shard_stop
@@ -62,8 +64,9 @@ module Make (Msg : MESSAGE) = struct
     mutable afailed : (int * exn) option;  (* lowest failing node in block *)
     mutable afails : (int * int * exn) list;
         (* all failing nodes in block ([`Record] mode), reverse chron. *)
-    mutable astepped : int;  (* fibers resumed this phase *)
+    mutable astepped : int;  (* nodes stepped this phase *)
     mutable akept : int;  (* nodes still live after this phase *)
+    mutable ahalted : int;  (* resumed nodes that ended this phase *)
     mutable aculled : int;  (* crash-stopped nodes dropped this phase *)
     mutable amin_wake : int;  (* min wake round over kept nodes *)
   }
@@ -82,6 +85,7 @@ module Make (Msg : MESSAGE) = struct
       afails = [];
       astepped = 0;
       akept = 0;
+      ahalted = 0;
       aculled = 0;
       amin_wake = max_int;
     }
@@ -393,8 +397,15 @@ module Make (Msg : MESSAGE) = struct
   (* The per-node random state is created on first use: most node
      programs are deterministic, and eagerly seeding n states dominated
      the fixed cost of short engine runs.  Laziness does not change the
-     stream a program that does call {!rng} observes. *)
-  type ctx = { id : int; mutable crng : Random.State.t option; eng : engine }
+     stream a program that does call {!rng} observes.  [id] is mutable
+     because the round loop retargets one context per arena from node
+     to node instead of allocating one per node (a fiber keeps its
+     own). *)
+  type ctx = {
+    mutable id : int;
+    mutable crng : Random.State.t option;
+    eng : engine;
+  }
 
   (* [Suspend k] parks the fiber until the first round with a non-empty
      inbox, or unconditionally after [k] rounds (k >= 1). *)
@@ -608,9 +619,89 @@ module Make (Msg : MESSAGE) = struct
     end;
     t
 
-  let run ?(seed = 0) ?bandwidth ?(strict = false) ?(max_rounds = 1_000_000)
-      ?telemetry ?trace ?(domains = 1) ?(fast_forward = true) ?faults
-      ?on_round ?(on_error = `Propagate) ?pool:opool g program =
+  (* The per-node half of a run.  Everything else — delivery, the fault
+     layer, bandwidth charging, sharding, fast-forward, trace prediction,
+     which nodes are parked, and the run metrics — is [exec]'s, written
+     once.  [start ctx v] at round 0 and [resume ctx v inbox] whenever
+     [v] is due say what node [v] does next ([ctx] is one context per
+     arena, retargeted to [v]); [finalize] runs on every exit path.
+
+     [replays_wait] asks the loop to replay the fiber [wait] loop of
+     fast-forward-off runs: a parked node is then due (counted as
+     stepped, traced as resumed and re-parked at the next round) every
+     round, but [resume] runs only on a non-empty inbox or once its
+     deadline [p.wake.(v)] has arrived. *)
+  type stepper = {
+    start : ctx -> int -> step;
+    resume : ctx -> int -> (int * Msg.t) list -> step;
+    finalize : pool -> unit;
+    replays_wait : bool;
+  }
+
+  (* Free-form programs, as step hooks that drive one fiber per node: a
+     node runs until its next [Suspend k] — its continuation is parked
+     in [p.conts] and the handler leaves its deadline in [p.wake] — or
+     until it returns its output. *)
+  let fiber_stepper outputs program =
+    let next (c : ctx) v =
+      if c.eng.p.conts.(v) != none_k then
+        Park (c.eng.p.wake.(v) - c.eng.current_round)
+      else Halt
+    in
+    let start (c : ctx) v =
+      let eng = c.eng in
+      let p = eng.p in
+      let ctx = { id = v; crng = None; eng } in
+      Effect.Deep.match_with
+        (fun () -> outputs.(v) <- Some (program ctx))
+        ()
+        {
+          retc = (fun () -> ());
+          exnc = (fun e -> match e with Stopped -> () | e -> raise e);
+          effc =
+            (fun (type a) (eff : a Effect.t) ->
+              match eff with
+              | Suspend k ->
+                  Some
+                    (fun (cont : (a, unit) Effect.Deep.continuation) ->
+                      p.wake.(v) <- eng.current_round + max 1 k;
+                      p.conts.(v) <- cont)
+              | _ -> None);
+        };
+      next c v
+    in
+    let resume (c : ctx) v inbox =
+      let conts = c.eng.p.conts in
+      let k = conts.(v) in
+      conts.(v) <- none_k;
+      Effect.Deep.continue k inbox;
+      next c v
+    in
+    (* A node suspended when the run ends (strict-mode overflow, node
+       exception, [max_rounds], a crash-stopped node) is discontinued
+       with [Stopped] so its stack unwinds and finalizers ([Fun.protect]
+       etc.) run.  [Stopped] itself is swallowed by the per-node handler;
+       any exception a node raises while unwinding is dropped here so
+       every node still gets finalized.  Postcondition: [conts] is
+       all-[none_k], even if a node caught [Stopped] and tried to wait
+       again. *)
+    let finalize p =
+      let conts = p.conts in
+      for v = 0 to Array.length outputs - 1 do
+        let k = conts.(v) in
+        if k != none_k then begin
+          conts.(v) <- none_k;
+          (try Effect.Deep.discontinue k Stopped with _ -> ());
+          conts.(v) <- none_k
+        end
+      done
+    in
+    { start; resume; finalize; replays_wait = false }
+
+  (* The round loop both entry points share; the result's [outputs] are
+     left to the caller. *)
+  let exec ~label ~seed ~bandwidth ~strict ~max_rounds ~telemetry ~trace
+      ~domains ~fast_forward ~faults ~on_round ~on_error ~pool:opool g stepper =
     let n = Graph.n g in
     let m_t0 = Run_metrics.start () in
     let bw =
@@ -714,45 +805,30 @@ module Make (Msg : MESSAGE) = struct
       p.fidx.(de) <- k + 1;
       k
     in
-    let outputs = Array.make n None in
-    let conts = p.conts in
-    (* Every exit path must run this: a node suspended at [wait] when the
-       run ends (strict-mode overflow, node exception, [max_rounds]) is
-       discontinued with [Stopped] so its stack unwinds and finalizers
-       ([Fun.protect] etc.) run.  [Stopped] itself is swallowed by the
-       per-node handler; any exception a node raises while unwinding is
-       dropped here so every node still gets finalized.  Postcondition:
-       [conts] is all-[none_k], even if a node caught [Stopped] and tried
-       to wait again. *)
-    let finalize () =
-      for v = 0 to n - 1 do
-        let k = conts.(v) in
-        if k != none_k then begin
-          conts.(v) <- none_k;
-          (try Effect.Deep.discontinue k Stopped with _ -> ());
-          conts.(v) <- none_k
-        end
-      done
+    (* One context per arena, retargeted to the node it steps. *)
+    let ctxs = Array.init d_req (fun _ -> { id = -1; crng = None; eng }) in
+    let[@inline] on d v =
+      let c = ctxs.(d) in
+      c.id <- v;
+      (match c.crng with Some _ -> c.crng <- None | None -> ());
+      c
     in
-    let start v =
-      let ctx = { id = v; crng = None; eng } in
-      Effect.Deep.match_with
-        (fun () -> outputs.(v) <- Some (program ctx))
-        ()
-        {
-          retc = (fun () -> ());
-          exnc = (fun e -> match e with Stopped -> () | e -> raise e);
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Suspend k ->
-                  Some
-                    (fun (cont : (a, unit) Effect.Deep.continuation) ->
-                      p.wake.(v) <- eng.current_round + max 1 k;
-                      conts.(v) <- cont)
-              | _ -> None);
-        }
+    (* Which nodes are parked: set by a [Park], cleared as a node is
+       resumed (so a node whose hook raised is not). *)
+    let parked = Bytes.make n '\000' in
+    let[@inline] is_parked v = Bytes.unsafe_get parked v <> '\000' in
+    let[@inline] apply v = function
+      | Halt -> false
+      | Park k ->
+          Bytes.unsafe_set parked v '\001';
+          p.wake.(v) <- eng.current_round + max 1 k;
+          true
     in
+    let spins = stepper.replays_wait in
+    (* Under [replays_wait], the park round each node's fiber [wait] loop
+       would report: the next round after every step.  Only the trace
+       reads it. *)
+    let spin_wake = if traced && spins then Array.make (max 1 n) 0 else [||] in
     let live = p.live in
     let live_len = ref 0 in
     (* Chains are LIFO; prepending while walking head-to-tail rebuilds
@@ -775,7 +851,8 @@ module Make (Msg : MESSAGE) = struct
         !acc
       end
     in
-    (* Run start-up for nodes [lo, hi) with arena [d].  On a node
+    (* Run start-up for nodes [lo, hi) with arena [d], compacting the
+       parked ones into [live] (item i of the phase is node i).  On a node
        exception: in [`Propagate] mode, record the (lowest) failing node
        and stop this block — exactly what a serial start loop does for
        its prefix; in [`Record] mode, log the failure, let the node die
@@ -783,23 +860,37 @@ module Make (Msg : MESSAGE) = struct
        regardless of the domain count. *)
     let start_range d lo hi =
       let a = arenas.(d) in
-      a.astepped <- 0;
       a.afailed <- None;
       a.afails <- [];
-      try
-        for v = lo to hi - 1 do
-          p.arena_of.(v) <- d;
-          (try start v
-           with e ->
-             if record_errors then
-               a.afails <- (eng.current_round, v, e) :: a.afails
-             else begin
-               a.afailed <- Some (v, e);
-               raise Shard_stop
-             end);
-          a.astepped <- a.astepped + 1
-        done
-      with Shard_stop -> ()
+      let kept = ref lo and halted = ref 0 and min_wake = ref max_int in
+      (try
+         for v = lo to hi - 1 do
+           p.arena_of.(v) <- d;
+           let running =
+             try apply v (stepper.start (on d v) v)
+             with e ->
+               if record_errors then begin
+                 a.afails <- (eng.current_round, v, e) :: a.afails;
+                 false
+               end
+               else begin
+                 a.afailed <- Some (v, e);
+                 raise Shard_stop
+               end
+           in
+           if running then begin
+             live.(!kept) <- v;
+             incr kept;
+             let w = p.wake.(v) in
+             if w < !min_wake then min_wake := w
+           end
+           else incr halted
+         done
+       with Shard_stop -> ());
+      a.akept <- !kept - lo;
+      a.ahalted <- !halted;
+      a.aculled <- 0;
+      a.amin_wake <- !min_wake
     in
     (* Step the live-list slice [lo, hi) with arena [d]: resume each node
        whose inbox is non-empty or whose wake round has arrived, and
@@ -808,60 +899,79 @@ module Make (Msg : MESSAGE) = struct
        serial order for its block. *)
     let step_range d lo hi =
       let a = arenas.(d) in
-      a.astepped <- 0;
       a.afailed <- None;
       a.afails <- [];
-      a.aculled <- 0;
-      a.amin_wake <- max_int;
-      let kept = ref lo in
-      let keep v =
-        live.(!kept) <- v;
-        incr kept;
-        if p.wake.(v) < a.amin_wake then a.amin_wake <- p.wake.(v)
-      in
-      (* A crashed node is frozen: not resumed even when its wake round
-         has passed, so it observes nothing until recovery.  Its earliest
-         possible resume round is max(wake, recovery), which is what
-         bounds fast-forward.  A crash-stopped node (no recovery) can
-         never resume — cull it from the live list so the run can still
-         terminate; its fiber is discontinued by [finalize]. *)
-      let keep_crashed v =
-        live.(!kept) <- v;
-        incr kept;
-        let w = p.wake.(v) in
-        let w = if w < crash_until.(v) then crash_until.(v) else w in
-        if w < a.amin_wake then a.amin_wake <- w
-      in
+      let round = eng.current_round in
+      let wake = p.wake and ib_head = p.ib_head in
+      (* Plain local counters (no closure captures them, so they stay out
+         of the heap), written back to the arena when the slice is done. *)
+      let kept = ref lo and stepped = ref 0 and halted = ref 0 in
+      let culled = ref 0 and min_wake = ref max_int in
       (try
          for i = lo to hi - 1 do
            let v = live.(i) in
-           if is_crashed v then begin
-             if crash_until.(v) = max_int then a.aculled <- a.aculled + 1
-             else keep_crashed v
-           end
-           else if p.ib_head.(v) >= 0 || p.wake.(v) <= eng.current_round
-           then begin
-             let k = conts.(v) in
-             if k != none_k then begin
-               conts.(v) <- none_k;
-               p.arena_of.(v) <- d;
-               let inbox = build_inbox v in
-               a.astepped <- a.astepped + 1;
-               (try Effect.Deep.continue k inbox
-                with e ->
-                  if record_errors then
-                    a.afails <- (eng.current_round, v, e) :: a.afails
-                  else begin
-                    a.afailed <- Some (v, e);
-                    raise Shard_stop
-                  end);
-               if conts.(v) != none_k then keep v
+           let w = wake.(v) in
+           if has_crash && is_crashed v then begin
+             (* A crashed node is frozen: not resumed even when its wake
+                round has passed, so it observes nothing until recovery.
+                Its earliest possible resume round is max(wake, recovery),
+                which is what bounds fast-forward.  A crash-stopped node
+                (no recovery) can never resume — cull it from the live
+                list so the run can still terminate; [finalize] cleans it
+                up. *)
+             if crash_until.(v) = max_int then incr culled
+             else begin
+               live.(!kept) <- v;
+               incr kept;
+               let w = if w < crash_until.(v) then crash_until.(v) else w in
+               if w < !min_wake then min_wake := w
              end
            end
-           else keep v
+           else if ib_head.(v) < 0 && w > round then begin
+             (* Not due; under [replays_wait], the wait loop's spin. *)
+             if spins then begin
+               incr stepped;
+               if traced then spin_wake.(v) <- round + 1
+             end;
+             live.(!kept) <- v;
+             incr kept;
+             if w < !min_wake then min_wake := w
+           end
+           else begin
+             incr stepped;
+             p.arena_of.(v) <- d;
+             let inbox = build_inbox v in
+             Bytes.unsafe_set parked v '\000';
+             let running =
+               try apply v (stepper.resume (on d v) v inbox)
+               with e ->
+                 if record_errors then begin
+                   a.afails <- (round, v, e) :: a.afails;
+                   false
+                 end
+                 else begin
+                   a.afailed <- Some (v, e);
+                   raise Shard_stop
+                 end
+             in
+             if running then begin
+               if spins && traced then spin_wake.(v) <- round + 1;
+               live.(!kept) <- v;
+               incr kept;
+               let w = wake.(v) in
+               if w < !min_wake then min_wake := w
+             end
+             else incr halted
+           end
          done
        with Shard_stop -> ());
-      a.akept <- !kept - lo
+      (* Every live node is parked, so each visit ends kept, halted or
+         culled — the conservation [one_round] checks. *)
+      a.astepped <- !stepped;
+      a.akept <- !kept - lo;
+      a.ahalted <- !halted;
+      a.aculled <- !culled;
+      a.amin_wake <- !min_wake
     in
     (* Sharded phase execution over the process-wide team.  Each phase is
        one epoch: the coordinator publishes the task under the team
@@ -1021,12 +1131,45 @@ module Make (Msg : MESSAGE) = struct
     let completed = ref true in
     let culled = ref 0 in
     let running = ref true in
+    (* Post-phase merge, on the coordinating domain, after start-up and
+       after every round's step phase ([len] items were split over
+       [nd_used] arenas).  Conservation: past [check_failures] no block
+       stopped early, so every item was visited exactly once — kept,
+       halted or culled.  Then the surviving blocks are compacted into a
+       prefix of [live] (ascending blits over ascending blocks — plain
+       memmove). *)
+    let settle nd_used ~len =
+      check_failures ();
+      let visited = ref 0 in
+      for d = 0 to nd_used - 1 do
+        let a = arenas.(d) in
+        visited := !visited + a.akept + a.ahalted + a.aculled
+      done;
+      if !visited <> len then
+        failwith
+          (Printf.sprintf "Engine: round %d visited %d of %d live nodes"
+             eng.current_round !visited len);
+      merge_failures ();
+      merge_rejects ();
+      let dst = ref arenas.(0).akept in
+      culled := !culled + arenas.(0).aculled;
+      min_wake := arenas.(0).amin_wake;
+      for d = 1 to nd_used - 1 do
+        let lo, _ = block d len in
+        let a = arenas.(d) in
+        if a.akept > 0 && !dst <> lo then Array.blit live lo live !dst a.akept;
+        dst := !dst + a.akept;
+        culled := !culled + a.aculled;
+        if a.amin_wake < !min_wake then min_wake := a.amin_wake
+      done;
+      live_len := !dst
+    in
     (* Fiber resume/park trace events are predicted on the coordinating
        domain, never recorded from workers: before a step phase, scan the
-       live worklist with the exact resume predicate [step_range] uses
+       live worklist with the exact due predicate [step_range] uses
        (ascending id order — the serial order); after the barrier, a
-       candidate whose continuation survived parked again.  This keeps the
-       fiber event stream byte-identical for every domain count. *)
+       candidate still parked parked again.  This keeps the fiber event
+       stream byte-identical for every domain count and both steppers. *)
     let fiber_scratch = ref [||] in
     let trace_prescan tr =
       if Array.length !fiber_scratch = 0 then
@@ -1037,8 +1180,7 @@ module Make (Msg : MESSAGE) = struct
         let v = live.(i) in
         if
           (not (is_crashed v))
-          && conts.(v) != none_k
-          && (p.ib_head.(v) >= 0 || p.wake.(v) <= eng.current_round)
+          && (spins || p.ib_head.(v) >= 0 || p.wake.(v) <= eng.current_round)
         then begin
           (* Prefer-arrival rule: a resume with any delivery this round
              is blamed on the first-delivered frame even if its deadline
@@ -1062,9 +1204,9 @@ module Make (Msg : MESSAGE) = struct
       let sc = !fiber_scratch in
       for i = 0 to cnt - 1 do
         let v = sc.(i) in
-        if conts.(v) != none_k then
+        if is_parked v then
           Trace.fiber_park tr ~round:eng.current_round ~node:v
-            ~wake:p.wake.(v)
+            ~wake:(if spins then spin_wake.(v) else p.wake.(v))
       done
     in
     let one_round () =
@@ -1084,7 +1226,7 @@ module Make (Msg : MESSAGE) = struct
           && fst crash_starts.(!crash_start_i) <= eng.current_round
         do
           let r, v = crash_starts.(!crash_start_i) in
-          if conts.(v) != none_k then begin
+          if is_parked v then begin
             eng.estats.crashed_nodes <- eng.estats.crashed_nodes + 1;
             incr round_crashed;
             match trace with
@@ -1371,28 +1513,7 @@ module Make (Msg : MESSAGE) = struct
               ~max_stepped:!mx ~stepped
           end
       | None -> ());
-      check_failures ();
-      merge_failures ();
-      merge_rejects ();
-      if has_crash then
-        for d = 0 to nd_used - 1 do
-          culled := !culled + arenas.(d).aculled
-        done;
-      (* Compact the surviving blocks into a prefix of [live] (ascending
-         blits over ascending blocks — plain memmove). *)
-      let dst = ref arenas.(0).akept in
-      if nd_used > 1 then
-        for d = 1 to nd_used - 1 do
-          let lo, _ = block d !live_len in
-          let a = arenas.(d) in
-          if a.akept > 0 && !dst <> lo then Array.blit live lo live !dst a.akept;
-          dst := !dst + a.akept
-        done;
-      live_len := !dst;
-      min_wake := max_int;
-      for d = 0 to nd_used - 1 do
-        if arenas.(d).amin_wake < !min_wake then min_wake := arenas.(d).amin_wake
-      done;
+      settle nd_used ~len:!live_len;
       (* Inbox chains of nodes that finished earlier were never consumed:
          drop them (idempotent for chains [build_inbox] already cleared)
          and recycle the slab so the next round appends from slot 0. *)
@@ -1444,24 +1565,14 @@ module Make (Msg : MESSAGE) = struct
       end
     in
     (try
-       let (_ : int) = run_phase ~start:true n in
-       check_failures ();
-       merge_failures ();
-       merge_rejects ();
-       live_len := 0;
-       min_wake := max_int;
-       for v = 0 to n - 1 do
-         if conts.(v) != none_k then begin
-           live.(!live_len) <- v;
-           incr live_len;
-           if p.wake.(v) < !min_wake then min_wake := p.wake.(v)
-         end
-       done;
+       settle (run_phase ~start:true n) ~len:n;
        (match trace with
        | Some tr ->
            for i = 0 to !live_len - 1 do
              let v = live.(i) in
-             Trace.fiber_park tr ~round:0 ~node:v ~wake:p.wake.(v)
+             if spins then spin_wake.(v) <- 1;
+             Trace.fiber_park tr ~round:0 ~node:v
+               ~wake:(if spins then 1 else p.wake.(v))
            done
        | None -> ());
        while !running && !live_len > 0 do
@@ -1491,7 +1602,7 @@ module Make (Msg : MESSAGE) = struct
            && fst crash_starts.(!crash_start_i) <= eng.current_round
          do
            let r, v = crash_starts.(!crash_start_i) in
-           if conts.(v) != none_k then begin
+           if is_parked v then begin
              eng.estats.crashed_nodes <- eng.estats.crashed_nodes + 1;
              match trace with
              | Some tr ->
@@ -1503,43 +1614,59 @@ module Make (Msg : MESSAGE) = struct
            end;
            incr crash_start_i
          done;
-       (* Every fiber still parked — a node suspended when [max_rounds]
-          hit, or a crash-stopped node culled from the live list — is
-          discontinued here so finalizers run (a no-op on a clean exit:
-          [conts] is already all-[None]). *)
-       finalize ();
+       (* Every node still parked — one suspended when [max_rounds] hit,
+          or a crash-stopped node culled from the live list — is
+          finalized here. *)
+       let stranded = ref 0 in
+       for v = 0 to n - 1 do
+         if is_parked v then incr stranded
+       done;
+       stepper.finalize p;
+       if !culled > 0 || eng.fail_log <> [] then completed := false;
+       (* A run that claims completion must have ended every node, so a
+          scheduling bug that drops a parked node from the live list
+          cannot pass for a clean run. *)
+       if !completed && !stranded > 0 then
+         failwith
+           (Printf.sprintf "Engine: completed run left %d nodes parked"
+              !stranded);
        release_team ();
        if owned then p.in_use <- false;
        match trace with
        | Some tr -> Trace.run_end tr ~rounds:eng.current_round
        | None -> ()
      with e ->
-       finalize ();
+       stepper.finalize p;
        release_team ();
        if owned then p.in_use <- false;
        (match trace with
        | Some tr -> Trace.run_end tr ~rounds:eng.current_round
        | None -> ());
        raise e);
-    if !culled > 0 || eng.fail_log <> [] then completed := false;
-    (* A run that claims completion must have finished every node: one
-       O(n) scan, so a scheduling bug that drops a node cannot pass for
-       a clean run. *)
-    if !completed then
-      Array.iteri
-        (fun v o ->
-          if Option.is_none o then
-            failwith
-              (Printf.sprintf
-                 "Engine.run: completed run has no output for node %d" v))
-        outputs;
-    Run_metrics.record_run ~mode:"fiber" ~domains:d_req ~t0:m_t0 eng.estats
+    Run_metrics.record_run ~mode:label ~domains:d_req ~t0:m_t0 eng.estats
       ~completed:!completed;
     {
-      outputs;
+      outputs = [||];
       rejections = List.rev eng.reject_log;
       failures = List.rev eng.fail_log;
       stats = eng.estats;
       completed = !completed;
     }
+
+  let run ?(seed = 0) ?bandwidth ?(strict = false) ?(max_rounds = 1_000_000)
+      ?telemetry ?trace ?(domains = 1) ?(fast_forward = true) ?faults
+      ?on_round ?(on_error = `Propagate) ?pool g program =
+    let outputs = Array.make (Graph.n g) None in
+    exec ~label:"fiber" ~seed ~bandwidth ~strict ~max_rounds ~telemetry
+      ~trace ~domains ~fast_forward ~faults ~on_round ~on_error ~pool g
+      (fiber_stepper outputs program)
+    |> fun res -> { res with outputs }
+
+  let run_steps ?bandwidth ?(max_rounds = 1_000_000) ?telemetry ?trace
+      ?(domains = 1) ?(fast_forward = true) ?faults ?on_round ?pool g ~start
+      ~resume =
+    exec ~label:"compiled" ~seed:0 ~bandwidth ~strict:false ~max_rounds
+      ~telemetry ~trace ~domains ~fast_forward ~faults ~on_round
+      ~on_error:`Propagate ~pool g
+      { start; resume; finalize = ignore; replays_wait = not fast_forward }
 end

@@ -1,10 +1,24 @@
 (** Round-synchronous CONGEST simulator.
 
-    Node programs are ordinary OCaml functions written in direct style; the
-    effect handler behind {!Make.sync} suspends a node until the next round
-    and delivers its inbox.  All nodes run in lockstep: a round consists of
-    every live node executing until its next [sync], with the messages it
-    sent becoming visible to its neighbors when their [sync] returns.
+    All nodes run in lockstep: a round consists of every live node
+    executing until it ends its round, with the messages it sent becoming
+    visible to its neighbors at the start of the next.  There is one
+    round loop and two ways to write the per-node part:
+
+    - {b free-form programs} ({!Make.run}) are ordinary OCaml functions
+      written in direct style; the effect handler behind {!Make.sync}
+      suspends a node's fiber until the next round and delivers its
+      inbox.
+    - {b step programs} ({!Make.run_steps}) are a [start] / [resume] pair
+      of hooks returning {!step}: the engine calls them directly, with no
+      effect handler, continuation or fiber stack.  This is what
+      [--mode compiled] runs.
+
+    Delivery, bandwidth charging, sharding, fast-forward, fault injection,
+    tracing and the run metrics are the same code for both, so a step
+    program and the fiber that replays it ([start], then one [wait] per
+    [Park] feeding [resume]) produce byte-identical {!Stats.t}, telemetry
+    and simulated trace events.
 
     Bandwidth is accounted per directed edge per round.  Rather than
     fragmenting payloads, the engine charges a round in which some edge
@@ -90,6 +104,12 @@ module type MESSAGE = sig
   val bits : t -> int
 end
 
+(** What a step program's hook tells the engine: [Park k] re-enters the
+    node at the first round with a non-empty inbox, or unconditionally
+    after [k] rounds ([k] is clamped to [>= 1], like {!Make.wait});
+    [Halt] ends the node. *)
+type step = Halt | Park of int
+
 (** Raised {e into} node programs still suspended at a [sync] when a run
     ends early (strict-mode overflow, node exception, or [max_rounds]), so
     their stacks unwind and finalizers run.  Node programs should let it
@@ -173,7 +193,7 @@ module Make (Msg : MESSAGE) : sig
         (** all nodes ran to completion (false when [max_rounds] hit, a
             node crash-stopped, or a failure was recorded).  Checked
             before [run] returns: a run that would report [true] with a
-            node lacking an output raises [Failure] instead. *)
+            node still parked raises [Failure] instead. *)
   }
 
   (** Deduplicated display view of a rejection log: distinct
@@ -289,4 +309,35 @@ module Make (Msg : MESSAGE) : sig
     Graphlib.Graph.t ->
     (ctx -> 'o) ->
     'o result
+
+  (** [run_steps g ~start ~resume] runs a step program on the same round
+      loop as {!run}: [start ctx v] at round 0, then [resume ctx v inbox]
+      each time node [v] is due — possibly with [[]] when its park
+      deadline expired with no traffic — until every node has returned
+      [Halt].  Every argument means what it means for {!run}, including
+      sharding across [?domains] and fault injection under [?faults];
+      an exception from a hook propagates after the round's accounting,
+      like [~on_error:`Propagate].  [outputs] is empty: a step program
+      keeps its results in the caller's node-indexed arrays.  Runs are
+      recorded under [mode="compiled"] in {!Run_metrics}.
+
+      The hooks share one context per domain, retargeted from node to
+      node, so they must use it synchronously and keep per-node state in
+      node-indexed arrays; {!wait}, {!sync} and {!idle} are not
+      available, and {!rng} restarts node [v]'s seed-0 stream at every
+      call. *)
+  val run_steps :
+    ?bandwidth:int ->
+    ?max_rounds:int ->
+    ?telemetry:Telemetry.t ->
+    ?trace:Trace.t ->
+    ?domains:int ->
+    ?fast_forward:bool ->
+    ?faults:Faults.policy ->
+    ?on_round:(int -> unit) ->
+    ?pool:pool ->
+    Graphlib.Graph.t ->
+    start:(ctx -> int -> step) ->
+    resume:(ctx -> int -> (int * Msg.t) list -> step) ->
+    unit result
 end

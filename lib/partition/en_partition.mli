@@ -14,8 +14,10 @@
     shifted distances differ by enough, which happens with probability
     [O(beta)] — so the expected cut is [O(eps * m)].
 
-    Writes the resulting partition into a fresh {!State.t} (part roots,
-    parent/children trees), ready for {!Tester.Stage2}. *)
+    Writes the resulting partition into [state] (part roots,
+    parent/children trees), ready for {!Tester.Stage2}.  [state] must be
+    a fresh {!State.create} over [g] (the default); its configuration —
+    e.g. [mode] — applies to the clustering's runs. *)
 
 type result = {
   state : State.t;
@@ -25,4 +27,5 @@ type result = {
   capped : int;  (** vertices whose shift exceeded R (probability o(1)) *)
 }
 
-val run : ?seed:int -> Graphlib.Graph.t -> eps:float -> result
+val run :
+  ?seed:int -> ?state:State.t -> Graphlib.Graph.t -> eps:float -> result

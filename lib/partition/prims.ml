@@ -28,8 +28,8 @@ let absorb (st : State.t) ~stats ~completed ~rejections =
     List.map (fun (_, v, reason) -> (v, reason)) rejections
     @ st.State.rejections
 
-(* Every protocol here is a step program: [st.mode] picks the executor,
-   and active faults force the fiber one. *)
+(* Every protocol here is a step program; [st.mode] picks how its nodes
+   are stepped. *)
 let run_steps (st : State.t) ~start ~resume =
   let res =
     Cmp.run ~mode:st.State.mode ?telemetry:st.State.telemetry

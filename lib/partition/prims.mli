@@ -4,9 +4,8 @@
     network in which all nodes follow the same fixed round schedule, and
     there are only two schedules: a one-round {!exchange}, and a
     {!relay} that runs for a fixed round budget.  Each run is a
-    {!Congest.Compiled} step program and executes on the executor
-    [st.mode] selects (the fiber engine, or flat array passes; active
-    [st.faults] force the fiber engine) with byte-identical accounting
+    {!Congest.Compiled} step program, stepped the way [st.mode] selects
+    (on fibers, or by direct calls) with byte-identical accounting
     either way.  The fixed schedule keeps chained runs in lockstep —
     exactly the fixed-budget scheduling the paper uses (it budgets each
     emulated super-round by the [4^i] diameter bound; we budget by the

@@ -70,11 +70,10 @@ val phases_for : eps:float -> alpha:int -> int
            {!Congest.Engine.Make.run}): [f 1] per stepped round,
            [f delta] per fast-forwarded span.  Must not touch simulated
            state; drives {!Obs.Heartbeat} ticks.
-    @param mode executor for the lockstep primitives, which are step
-           programs (default [Fiber]): [Compiled] runs them as flat
-           array passes unless faults are active, with byte-identical
-           results, Stats, Telemetry and trace (see
-           {!Congest.Compiled}).
+    @param mode how the lockstep primitives, which are step programs,
+           step their nodes (default [Fiber]): [Compiled] calls the
+           hooks directly, with byte-identical results, Stats, Telemetry
+           and trace (see {!Congest.Compiled}).
     @param state run on this pre-built {!State.t} instead of
            [State.create g] — the resume half of checkpointing (restore a
            state with {!State.restore}, then pass it here together with

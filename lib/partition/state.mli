@@ -7,7 +7,7 @@
     emulation of Section 2.1.5 and are only meaningful at part roots. *)
 
 (** The step-program runner all partition/tester code shares: every
-    {!Prims} protocol is a step program run on the executor {!t.mode}
+    {!Prims} protocol is a step program, stepped the way {!t.mode}
     selects (see {!Congest.Compiled}). *)
 module Cmp : module type of Congest.Compiled.Make (Msg)
 
@@ -61,9 +61,9 @@ type t = {
   nodes : node array;
   stats : Congest.Stats.t;  (** accumulated over every engine run *)
   pool : Cmp.pool;
-      (** reusable delivery state for both executors — every engine run
-          through {!Prims} over [graph] draws on it instead of allocating
-          per run *)
+      (** the engine's reusable delivery state, shared by both modes —
+          every engine run through {!Prims} over [graph] draws on it
+          instead of allocating per run *)
   mutable rejections : (int * string) list;
       (** one-sided-error evidence collected so far, newest first *)
   mutable nominal_rounds : int;
@@ -92,10 +92,10 @@ type t = {
           that cannot complete under it raises {!Congest.Faults.Degraded}
           rather than failing silently *)
   mutable mode : Congest.Compiled.mode;
-      (** executor for every {!Prims} run (default [Fiber]); [Compiled]
-          runs them as flat array passes unless faults are active —
-          accounting is byte-identical either way (see
-          {!Congest.Compiled}). *)
+      (** how every {!Prims} run steps its nodes (default [Fiber]);
+          [Compiled] calls the step hooks directly, with or without
+          faults and at any [domains] — accounting is byte-identical
+          either way (see {!Congest.Compiled}). *)
   mutable on_round : (int -> unit) option;
       (** host-side per-round observer threaded to every engine run
           through {!Prims} (fiber and compiled alike): [f 1] per stepped

@@ -196,8 +196,11 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
         hb_phases_done := List.length r.Partition.Stage1.phases;
         (Some r, r.Partition.Stage1.state)
     | Exponential_shifts ->
-        let r = Partition.En_partition.run ~seed g ~eps in
-        let st = r.Partition.En_partition.state in
+        (* Only the mode reaches the clustering; the rest of the
+           configuration applies from Stage II on. *)
+        let st = Partition.State.create g in
+        st.Partition.State.mode <- mode;
+        ignore (Partition.En_partition.run ~seed ~state:st g ~eps);
         st.Partition.State.telemetry <- telemetry;
         st.Partition.State.trace <- trace;
         st.Partition.State.domains <- domains;
@@ -206,7 +209,6 @@ let run ?(seed = 0) ?(alpha = 3) ?(partition = Stage_one)
            from here on (Stage II); the centralized En clustering above
            already ran. *)
         st.Partition.State.faults <- faults;
-        st.Partition.State.mode <- mode;
         st.Partition.State.on_round <- hb_on_round;
         attach_heartbeat st;
         (None, st)

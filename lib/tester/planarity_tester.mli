@@ -113,11 +113,11 @@ type report = {
     clustering itself is unaffected, like telemetry): the verdict is then
     [Accept], [Degraded] — or [Reject] only when no fault actually fired,
     so the report is identical for any [domains] and [fast_forward]
-    setting, faults included.  [mode] selects the executor for every
-    Stage I and Stage II engine run, all of them step programs (default
-    [Fiber]): [Compiled] runs them as flat array passes unless faults
-    are active, with a byte-identical report, Stats, Telemetry and trace
-    (see {!Congest.Compiled}).  [checkpoint] enables phase-boundary
+    setting, faults included.  [mode] selects how every engine run —
+    Stage I or the [Exponential_shifts] clustering, and Stage II, all of
+    them step programs — steps its nodes (default [Fiber]): [Compiled]
+    calls the step hooks directly, with a byte-identical report, Stats,
+    Telemetry and trace (see {!Congest.Compiled}).  [checkpoint] enables phase-boundary
     checkpoint/resume (see {!checkpoint}); it requires the [Stage_one]
     partition and raises [Invalid_argument] with [Exponential_shifts].
     Snapshots carry the telemetry series and the event-trace state, so a

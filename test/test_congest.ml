@@ -1106,11 +1106,11 @@ let test_protocols_count_qcheck =
       let count, _ = Congest.Protocols.count_nodes g ~root:0 ~rounds_bound:(3 * n + 4) in
       count = List.length members)
 
-(* Both executors must be indistinguishable on every protocol — same
+(* Both modes must be indistinguishable on every protocol — same
    outputs, same round counts — across connected and disconnected random
-   inputs, with the fiber executor both serial and at 24 domains (n up
-   to 40 puts live sets on both sides of the sharding threshold and of
-   the domain count). *)
+   inputs, with each mode both serial and at 24 domains (n up to 40 puts
+   live sets on both sides of the sharding threshold and of the domain
+   count). *)
 let test_protocols_compiled_differential =
   QCheck.Test.make
     ~name:"protocols: compiled mode == fiber mode on random graphs" ~count:30
@@ -1137,12 +1137,16 @@ let test_protocols_compiled_differential =
       in
       let compiled = run ~domains:1 Congest.Compiled.Compiled in
       List.for_all
-        (fun domains ->
-          run ~domains Congest.Compiled.Fiber = compiled
+        (fun (domains, mode) ->
+          run ~domains mode = compiled
           || QCheck.Test.fail_reportf
-               "compiled/fiber divergence at n=%d seed=%d domains=%d" n seed
-               domains)
-        [ 1; 24 ])
+               "%s divergence from serial compiled at n=%d seed=%d domains=%d"
+               (Congest.Compiled.mode_to_string mode) n seed domains)
+        [
+          (1, Congest.Compiled.Fiber);
+          (24, Congest.Compiled.Fiber);
+          (24, Congest.Compiled.Compiled);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Million-node substrate: pooled buffers and delay buckets            *)

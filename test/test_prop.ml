@@ -202,25 +202,30 @@ let prop_stats_invariance =
 (* --- 3b. compiled hot path == fiber engine --------------------------- *)
 
 (* The execution mode must be invisible in every observable: verdict,
-   full stats fingerprint INCLUDING fast_forwarded_rounds (both engines
+   full stats fingerprint INCLUDING fast_forwarded_rounds (both modes
    make the same fast-forward decisions), and the per-round telemetry
    JSON.  Run on planar and far inputs so both accepting and rejecting
-   Stage I paths cross the step programs.  The fiber side also runs at
-   24 domains: with n up to 60 the live sets cross both the sharding
+   Stage I paths cross the step programs.  Both modes also run at 24
+   domains: with n up to 60 the live sets cross both the sharding
    threshold (16) and the domain count, and everything but telemetry's
-   host-side utilization fields must still agree. *)
+   host-side utilization fields must still agree.  Finally both modes
+   run under one drawn fault policy, which they must inject alike. *)
 let prop_compiled_matches_fiber =
   QCheck.Test.make
     ~name:"compiled mode == fiber mode (verdict + stats + telemetry JSON)"
     ~count:12
     QCheck.(
-      triple (int_range 0 3) (int_range 8 60) (int_range 0 10000))
-    (fun (family, n, seed) ->
+      pair
+        (triple (int_range 0 3) (int_range 8 60) (int_range 0 10000))
+        (triple (int_range 0 1000) (int_range 1 7) (int_range 0 20)))
+    (fun ((family, n, seed), (fseed, intensity, crash)) ->
       let g = graph_of ~family ~n ~seed in
       let eps = 0.25 +. float_of_int (seed mod 4) /. 10.0 in
-      let observe ~domains mode fast_forward =
+      let observe ?faults ~domains mode fast_forward =
         let telemetry = Congest.Telemetry.create () in
-        let r = PT.run ~telemetry ~domains ~fast_forward ~mode g ~eps ~seed in
+        let r =
+          PT.run ?faults ~telemetry ~domains ~fast_forward ~mode g ~eps ~seed
+        in
         let host_free =
           List.map
             (fun ph ->
@@ -235,6 +240,7 @@ let prop_compiled_matches_fiber =
           Congest.Telemetry.Json.to_string (Congest.Telemetry.to_json telemetry)
         )
       in
+      let faults = policy_of ~fseed ~intensity ~crash ~n:(Graph.n g) in
       List.for_all
         (fun fast_forward ->
           let fail what =
@@ -247,7 +253,17 @@ let prop_compiled_matches_fiber =
           || fail "mode compiled")
           && (fst (observe ~domains:24 Congest.Compiled.Fiber fast_forward)
               = fst base
-             || fail "fiber at 24 domains"))
+             || fail "fiber at 24 domains")
+          && (fst (observe ~domains:24 Congest.Compiled.Compiled fast_forward)
+              = fst base
+             || fail "compiled at 24 domains")
+          && (observe ?faults ~domains:1 Congest.Compiled.Compiled fast_forward
+              = observe ?faults ~domains:1 Congest.Compiled.Fiber fast_forward
+             || fail
+                  (Printf.sprintf "mode compiled under faults %s"
+                     (match faults with
+                     | Some p -> Congest.Faults.to_spec p
+                     | None -> "off"))))
         [ true; false ])
 
 (* --- 4. fuzz the framing / fragmentation path ------------------------ *)

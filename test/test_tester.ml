@@ -642,9 +642,9 @@ let test_checkpoint_rejects_exp_shifts () =
      with Invalid_argument _ -> true)
 
 (* [--mode compiled] must mean compiled: every protocol the testers run
-   is a step program, so a fault-free compiled run records no fiber
-   engine runs, and an active fault policy forces every run onto the
-   fiber engine.  Read off the [congest_mode_runs] counter. *)
+   is a step program, so a compiled run — with either partition, and
+   under an active fault policy too — records no fiber engine runs.
+   Read off the [congest_mode_runs] counter. *)
 let mode_runs mode =
   List.find_map
     (fun (f : Obs.Metrics.family) ->
@@ -685,13 +685,19 @@ let test_compiled_mode_runs_no_fibers () =
           let r = PT.run ~mode g ~eps:0.3 ~seed:1 in
           check cb (name ^ " accepts") true (r.PT.verdict = PT.Accept);
           check cb (name ^ " reaches Stage II") true (r.PT.stage2 <> None));
+      delta (name ^ " exponential shifts") ~absent:"fiber" (fun () ->
+          let r =
+            PT.run ~mode ~partition:PT.Exponential_shifts g ~eps:0.3 ~seed:1
+          in
+          check cb (name ^ " exponential shifts reaches Stage II") true
+            (r.PT.stage2 <> None));
       delta (name ^ " bipartite") ~absent:"fiber" (fun () ->
           ignore (Tester.Bipartite_tester.run ~mode g ~eps:0.3 ~seed:1));
       delta (name ^ " cycle-free") ~absent:"fiber" (fun () ->
           ignore (Tester.Cycle_free_tester.run ~mode g ~eps:0.3 ~seed:1)))
     [ ("grid", grid); ("apollonian", apollonian) ];
   let faults = Congest.Faults.make ~seed:7 ~delay:0.1 ~max_delay:2 () in
-  delta "grid under faults" ~absent:"compiled" (fun () ->
+  delta "grid under faults" ~absent:"fiber" (fun () ->
       ignore (PT.run ~mode ~faults grid ~eps:0.3 ~seed:1))
 
 let () =
