@@ -216,8 +216,10 @@ scale: build
 #   1. byte-identity — the same planartest run under --mode fiber and
 #      --mode compiled must produce cmp-identical stats JSON (on a grid
 #      — also under a delay fault spec and at --domains 4 — on an
-#      Apollonian graph whose many parts run Stage II, and on a
-#      far graph that rejects in Stage I phase 2), and the
+#      Apollonian graph whose many parts run Stage II, on a
+#      far graph that rejects in Stage I phase 2, and on a sparser far
+#      graph that rejects in Stage II's per-node Definition 7 check, at
+#      --domains 1 and 4), and the
 #      same quick bench E1 sweep must produce cmp-identical BENCH JSON
 #      (--no-timings strips the only legitimately host-dependent
 #      fields).
@@ -277,6 +279,19 @@ compiled: build
 	  --eps 0.1 --mode compiled --stats-json $(COMPILED_DIR)/far-compiled.json \
 	  --log-level warn > /dev/null
 	cmp $(COMPILED_DIR)/far-fiber.json $(COMPILED_DIR)/far-compiled.json
+	./_build/default/bin/planartest.exe gen --family far --n 2000 \
+	  --param 0.03 --seed 1 > $(COMPILED_DIR)/s2reject.txt
+	for d in 1 4; do \
+	  for m in fiber compiled; do \
+	    ./_build/default/bin/planartest.exe test $(COMPILED_DIR)/s2reject.txt \
+	      --eps 0.3 --mode $$m --domains $$d \
+	      --stats-json $(COMPILED_DIR)/s2reject-$$m-d$$d.json \
+	      --log-level warn > /dev/null || exit 1; \
+	  done; \
+	  grep -q 'Definition 7' $(COMPILED_DIR)/s2reject-fiber-d$$d.json || exit 1; \
+	  cmp $(COMPILED_DIR)/s2reject-fiber-d$$d.json \
+	    $(COMPILED_DIR)/s2reject-compiled-d$$d.json || exit 1; \
+	done
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \
 	  --mode fiber --json $(COMPILED_DIR)/e1-fiber.json > /dev/null
 	./_build/default/bench/main.exe --quick --no-timings --only E1 \

@@ -10,7 +10,8 @@ type t =
   | Bdry of int * int list  (** (tag, payload): across cut or intra edges *)
 
 (** Wire size: a small header plus the cost of each integer at its own
-    magnitude. *)
+    magnitude.  Recent long [Down] payloads' costs are memoized by
+    physical identity; the result always equals the plain sum. *)
 val bits : t -> int
 
 (** Bits of one payload integer. *)

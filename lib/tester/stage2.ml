@@ -26,37 +26,61 @@ type result = {
 let sample_target ~n ~eps =
   int_of_float (ceil (4.0 *. log (float_of_int (n + 2)) /. eps))
 
+(* Wire form of a list of label pairs: each label as its length followed
+   by its entries, pairs in order. *)
 let encode_pairs pairs =
-  List.concat_map
-    (fun (a, b) -> (List.length a :: a) @ (List.length b :: b))
-    pairs
+  let push lab acc = Array.length lab :: Array.fold_right List.cons lab acc in
+  List.fold_left (fun acc (a, b) -> push a (push b acc)) [] (List.rev pairs)
 
 let rec take k = function
   | [] -> []
   | _ when k = 0 -> []
   | x :: rest -> x :: take (k - 1) rest
 
+(* Reads one length-prefixed run [k; x1; ...; xk] off the front of [l]. *)
+let read_run l =
+  match l with
+  | [] -> failwith "Stage2: missing length prefix"
+  | k :: rest ->
+      let a = Array.make k 0 and rest = ref rest in
+      for i = 0 to k - 1 do
+        match !rest with
+        | x :: tl ->
+            a.(i) <- x;
+            rest := tl
+        | [] -> failwith "Stage2: short payload"
+      done;
+      (a, !rest)
+
+(* Inverse of [encode_pairs]. *)
 let decode_pairs l =
-  let rec split k l =
-    if k = 0 then ([], l)
-    else
-      match l with
-      | x :: rest ->
-          let a, b = split (k - 1) rest in
-          (x :: a, b)
-      | [] -> failwith "Stage2.decode_pairs: short payload"
+  let rec go acc = function
+    | [] -> List.rev acc
+    | l ->
+        let a, l = read_run l in
+        let b, l = read_run l in
+        go ((a, b) :: acc) l
   in
-  let rec go = function
-    | [] -> []
-    | la :: rest ->
-        let a, rest = split la rest in
-        (match rest with
-        | lb :: rest ->
-            let b, rest = split lb rest in
-            (a, b) :: go rest
-        | [] -> failwith "Stage2.decode_pairs: missing second label")
-  in
-  go l
+  go [] l
+
+(* What each node received in a part broadcast, decoded once per part.
+   A broadcast forwards the root's one payload list and never copies it,
+   so the cache is keyed on the part root and guarded by physical
+   equality: exact for whatever a node holds, [[]] when nothing arrived.
+   Decoding after the run, not in [on_receive], keeps shared writes out of
+   the node steps, which run on several domains. *)
+let decode_per_part (received : int list array) decode =
+  let cache = Hashtbl.create 16 in
+  fun (nd : S.node) ->
+    match received.(nd.S.id) with
+    | [] -> decode []
+    | pl -> (
+        match Hashtbl.find_opt cache nd.S.part_root with
+        | Some (cached, d) when cached == pl -> d
+        | _ ->
+            let d = decode pl in
+            Hashtbl.replace cache nd.S.part_root (pl, d);
+            d)
 
 let run ?(embedding = Oracle) st ~eps ~seed =
   let g = st.S.graph in
@@ -186,27 +210,29 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           Hashtbl.replace rotations_at_root root payload)
         induced_parts;
       (* Broadcast the full rotation table; each node keeps its row. *)
+      let table_at = Array.make n [] in
       P.bcast st ~budget ~tag:91
         ~at_root:(fun nd -> Some (Hashtbl.find rotations_at_root nd.S.id))
-        ~on_receive:(fun nd pl ->
-          let rec scan = function
-            | [] -> ()
-            | v :: deg :: rest ->
-                let rec split k l =
-                  if k = 0 then ([], l)
-                  else
-                    match l with
-                    | x :: tl ->
-                        let a, b = split (k - 1) tl in
-                        (x :: a, b)
-                    | [] -> assert false
-                in
-                let row, rest = split deg rest in
-                if v = nd.S.id then rotation.(v) <- Array.of_list row;
-                scan rest
-            | [ _ ] -> assert false
-          in
-          scan pl));
+        ~on_receive:(fun nd pl -> table_at.(nd.S.id) <- pl);
+      let rows_of =
+        decode_per_part table_at (fun pl ->
+            let rows = Hashtbl.create 64 in
+            let rec scan = function
+              | [] -> ()
+              | v :: rest ->
+                  let row, rest = read_run rest in
+                  Hashtbl.replace rows v row;
+                  scan rest
+            in
+            scan pl;
+            rows)
+      in
+      Array.iter
+        (fun nd ->
+          Option.iter
+            (fun row -> rotation.(nd.S.id) <- row)
+            (Hashtbl.find_opt (rows_of nd) nd.S.id))
+        st.S.nodes);
   (* Step 5: label distribution down the BFS trees. *)
   let label = Array.make n [] in
   let send_child_labels ctx nd mylab =
@@ -250,11 +276,12 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           | M.Bdry (86, key_other) ->
               if assigned_to nd from then begin
                 let key_mine = List.assoc from my_keys.(nd.S.id) in
-                let pair =
+                let a, b =
                   if compare key_mine key_other <= 0 then (key_mine, key_other)
                   else (key_other, key_mine)
                 in
-                assigned_pairs.(nd.S.id) <- pair :: assigned_pairs.(nd.S.id)
+                assigned_pairs.(nd.S.id) <-
+                  (Array.of_list a, Array.of_list b) :: assigned_pairs.(nd.S.id)
               end
           | _ -> assert false));
   (* Step 7: roots broadcast the part's non-tree edge count. *)
@@ -269,10 +296,13 @@ let run ?(embedding = Oracle) st ~eps ~seed =
   let starget = sample_target ~n ~eps in
   let cap = (4 * starget) + 8 in
   let samples = Hashtbl.create 16 in
+  (* A node's sample so far: the pair lists it holds, newest first, and
+     their total count; joined in order only when sent up. *)
+  let flatten chunks = List.concat (List.rev chunks) in
   P.converge st ~budget ~tag:88
     ~init:(fun nd ->
       let ntj = nt_count.(nd.S.id) in
-      if ntj = 0 then ([], false)
+      if ntj = 0 then ([], 0, false)
       else begin
         let p = min 1.0 (float_of_int starget /. float_of_int ntj) in
         let rng = Random.State.make [| seed; nd.S.id; 0x7a11 |] in
@@ -280,31 +310,34 @@ let run ?(embedding = Oracle) st ~eps ~seed =
           List.filter (fun _ -> Random.State.float rng 1.0 < p)
             assigned_pairs.(nd.S.id)
         in
-        (chosen, false)
+        ([ chosen ], List.length chosen, false)
       end)
-    ~combine:(fun (a, ta) (b, tb) ->
-      let all = a @ b in
-      if List.length all > cap then (take cap all, true)
-      else (all, ta || tb))
-    ~encode:(fun (pairs, t) -> (if t then 1 else 0) :: encode_pairs pairs)
+    ~combine:(fun (a, na, ta) (b, nb, tb) ->
+      if na + nb > cap then ([ take cap (flatten a @ flatten b) ], cap, true)
+      else (b @ a, na + nb, ta || tb))
+    ~encode:(fun (chunks, _, t) ->
+      (if t then 1 else 0) :: encode_pairs (flatten chunks))
     ~decode:(function
-      | t :: rest -> (decode_pairs rest, t = 1)
+      | t :: rest ->
+          let pairs = decode_pairs rest in
+          ([ pairs ], List.length pairs, t = 1)
       | [] -> assert false)
-    ~at_root:(fun nd (pairs, t) -> Hashtbl.replace samples nd.S.id (pairs, t));
+    ~at_root:(fun nd (chunks, _, t) ->
+      Hashtbl.replace samples nd.S.id (flatten chunks, t));
   (* Step 9: broadcast the sample; every node checks its assigned edges. *)
   let sample_at = Array.make n [] in
   P.bcast st ~budget ~tag:89
     ~at_root:(fun nd ->
       let pairs, _ = Hashtbl.find samples nd.S.id in
       Some (encode_pairs pairs))
-    ~on_receive:(fun nd pl -> sample_at.(nd.S.id) <- decode_pairs pl);
+    ~on_receive:(fun nd pl -> sample_at.(nd.S.id) <- pl);
+  let sample_of =
+    decode_per_part sample_at (fun pl -> Violation.sample (decode_pairs pl))
+  in
   Array.iter
     (fun nd ->
       let found =
-        List.exists
-          (fun mine ->
-            List.exists (Violation.intersects mine) sample_at.(nd.S.id))
-          assigned_pairs.(nd.S.id)
+        List.exists (Violation.hits (sample_of nd)) assigned_pairs.(nd.S.id)
       in
       if found then
         st.S.rejections <-

@@ -4,6 +4,18 @@ type label = int list
 
 let compare_label = compare
 
+(* [compare_label]'s order on array labels.  Polymorphic [compare] on
+   arrays orders by length first, so it cannot stand in. *)
+let compare_flat (a : int array) (b : int array) =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i =
+    if i = la then if i = lb then 0 else -1
+    else if i = lb then 1
+    else if a.(i) <> b.(i) then Int.compare a.(i) b.(i)
+    else go (i + 1)
+  in
+  go 0
+
 (* Walks [v]'s rotation clockwise starting just after the parent edge (for
    the root: after an arbitrary fixed dart) and calls [f] on every dart
    with the current tree-child rank [r] (children passed so far) and the
@@ -161,6 +173,39 @@ let intersects p q =
   compare_label la lc < 0
   && compare_label lc lb < 0
   && compare_label lb ld < 0
+
+(* Sampled edges as int ranks.  The distinct endpoint labels, sorted, rank
+   any label [x]: [2i + 1] when [x] is endpoint [i], else twice the number
+   of endpoints below [x].  [intersects p q] holds iff
+   [a < c < b < d] or [c < a < d < b] for the sorted pairs, and each of
+   those comparisons pits an endpoint of [p] against one of [q]; ranks
+   keep exactly the order between any label and an endpoint. *)
+type sample = { keys : int array array; edges : (int * int) array }
+
+let rank keys x =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if compare_flat keys.(mid) x < 0 then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length keys && compare_flat keys.(!lo) x = 0 then
+    (2 * !lo) + 1
+  else 2 * !lo
+
+let ranked keys (a, b) =
+  let ra = rank keys a and rb = rank keys b in
+  (min ra rb, max ra rb)
+
+let sample pairs =
+  let ends = List.concat_map (fun (a, b) -> [ a; b ]) pairs in
+  let keys = Array.of_list (List.sort_uniq compare_flat ends) in
+  { keys; edges = Array.of_list (List.map (ranked keys) pairs) }
+
+let hits s p =
+  let a, b = ranked s.keys p in
+  Array.exists
+    (fun (c, d) -> (a < c && c < b && b < d) || (c < a && a < d && d < b))
+    s.edges
 
 let violating_edges g tree rot =
   let keyed = Array.of_list (edge_keys g tree rot) in

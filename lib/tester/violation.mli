@@ -12,6 +12,10 @@ type label = int list
 (** Lexicographic comparison (a proper prefix is smaller). *)
 val compare_label : label -> label -> int
 
+(** {!compare_label} on labels held as [int array]s (the same order:
+    lexicographic, a proper prefix first). *)
+val compare_flat : int array -> int array -> int
+
 (** [labels g tree rot] computes every vertex's label.  The graph must be
     connected and [tree] rooted in it. *)
 val labels :
@@ -67,6 +71,16 @@ val edge_keys :
     smaller lower endpoint comes first, strict interleaving
     [la < lc < lb < ld]. *)
 val intersects : label * label -> label * label -> bool
+
+(** A set of non-tree edges with [int array] labels (ordered by
+    {!compare_flat}), prepared for {!hits}. *)
+type sample
+
+val sample : (int array * int array) list -> sample
+
+(** [hits s p]: {!intersects} holds between [p] and some edge of [s].
+    Two binary searches, then int compares against each edge. *)
+val hits : sample -> int array * int array -> bool
 
 (** Non-tree edge ids of the BFS tree. *)
 val non_tree_edges :

@@ -52,6 +52,32 @@ let test_bcast_converge_roundtrip () =
     ~at_root:(fun _ v -> total := v);
   check ci "ids summed" 15 !total
 
+(* The memoized payload cost must equal the plain sum in every case:
+   alternating payloads, a structurally equal copy, the empty payload,
+   and two domains charging different payloads at once. *)
+let test_msg_bits_memo () =
+  let module M = Partition.Msg in
+  let plain l = List.fold_left (fun acc v -> acc + M.int_cost v) 0 l in
+  let expect l = 4 + M.int_cost 89 + plain l in
+  let p1 = List.init 300 (fun i -> i * 7919)
+  and p2 = List.init 300 (fun i -> i mod 7) in
+  let p1' = List.map Fun.id p1 in
+  for _ = 1 to 3 do
+    List.iter
+      (fun l -> check ci "bits" (expect l) (M.bits (M.Down (89, l))))
+      [ p1; p2; p1; p1'; p2; []; p1; [] ]
+  done;
+  let charge l () =
+    let ok = ref true in
+    for _ = 1 to 2000 do
+      if M.bits (M.Down (89, l)) <> expect l then ok := false
+    done;
+    !ok
+  in
+  let d1 = Domain.spawn (charge p1) and d2 = Domain.spawn (charge p2) in
+  check cb "domain 1" true (Domain.join d1);
+  check cb "domain 2" true (Domain.join d2)
+
 let test_converge_budget_too_small () =
   let g = Generators.path 6 in
   let st = fresh_state g in
@@ -450,6 +476,7 @@ let () =
           Alcotest.test_case "converge budget check" `Quick
             test_converge_budget_too_small;
           Alcotest.test_case "boundary" `Quick test_boundary;
+          Alcotest.test_case "Msg.bits memo" `Quick test_msg_bits_memo;
         ] );
       ( "forest-decomposition",
         [

@@ -44,6 +44,42 @@ let test_intersects () =
   check cb "order-insensitive" true (i ([ 2 ], [ 4 ]) ([ 1 ], [ 3 ]));
   check cb "unsorted pairs accepted" true (i ([ 3 ], [ 1 ]) ([ 4 ], [ 2 ]))
 
+(* Stage II checks array labels against a part's ranked sample; that must
+   agree with [intersects] on the [int list] labels they encode, prefixes
+   first (polymorphic [compare] on arrays would put length first). *)
+let flat_agrees p qs =
+  let module V = Tester.Violation in
+  let f (a, b) = (Array.of_list a, Array.of_list b) in
+  V.hits (V.sample (List.map f qs)) (f p) = List.exists (V.intersects p) qs
+
+let test_sample_hits () =
+  List.iter
+    (fun (p, qs) -> check cb "ranked = intersects" true (flat_agrees p qs))
+    [
+      (([ 1 ], [ 1; 2; 1 ]), [ ([ 1; 2 ], [ 2 ]) ]);  (* strict prefixes *)
+      (([ 1; 2 ], [ 3 ]), [ ([ 1 ], [ 1; 2; 0 ]) ]);
+      (([], [ 2 ]), [ ([ 1 ], [ 2; 5 ]) ]);  (* root label *)
+      (([ 1; 2 ], [ 3 ]), [ ([ 1; 2 ], [ 4 ]) ]);  (* equal endpoints *)
+      (([ 2 ], [ 2 ]), [ ([ 1 ], [ 3 ]) ]);
+      (([ 1 ], [ 3 ]), [ ([ 1 ], [ 3 ]) ]);
+      (([ 3; 1 ], [ 1 ]), [ ([ 2 ], [ 3; 1; 1 ]) ]);  (* unsorted pairs *)
+      (([ 4 ], [ 2 ]), [ ([ 3 ], [ 1 ]) ]);
+      (([ 2; 9 ], [ 2 ]), [ ([ 2; 0 ], [ 2; 9; 0 ]); ([ 5 ], [ 1 ]) ]);
+      (([ 1 ], [ 4 ]), []);
+    ];
+  let c = Tester.Violation.compare_flat in
+  check cb "prefix first" true
+    (c [| 1 |] [| 0; 5 |] > 0 && c [| 1 |] [| 1; 0 |] < 0)
+
+let test_sample_hits_qcheck =
+  (* Short labels over a tiny alphabet make prefixes, equal endpoints and
+     unsorted pairs common. *)
+  let label = QCheck.(list_of_size Gen.(0 -- 3) (int_range 0 2)) in
+  let edge = QCheck.pair label label in
+  QCheck.Test.make ~name:"ranked sample agrees with intersects" ~count:2000
+    QCheck.(pair edge (list_of_size Gen.(0 -- 6) edge))
+    (fun (p, qs) -> flat_agrees p qs)
+
 let test_non_tree_edges () =
   let g = Generators.cycle 6 in
   let tree = Traversal.bfs g 0 in
@@ -718,6 +754,8 @@ let () =
             test_scan_neighbor_rotation;
           q test_claim10_qcheck;
           q test_corollary9_qcheck;
+          Alcotest.test_case "ranked sample" `Quick test_sample_hits;
+          q test_sample_hits_qcheck;
         ] );
       ( "planarity-tester",
         [
